@@ -1,18 +1,27 @@
 /**
  * @file
  * MD5 implementation following RFC 1321.
+ *
+ * The compression function is straight-line: the 64 steps are
+ * expanded at compile time, so each step's round function, message
+ * word, shift and constant are immediates rather than a branchy loop
+ * computing them per step. Short messages — every MAC preimage — are
+ * padded directly into one block's words (detail::md5PackShort,
+ * shared with the lane kernels' packing) and never touch a context.
  */
 
 #include "crypto/md5.hh"
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 namespace obfusmem {
 namespace crypto {
 
 namespace {
 
-const uint32_t kTable[64] = {
+constexpr uint32_t kTable[64] = {
     0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee,
     0xf57c0faf, 0x4787c62a, 0xa8304613, 0xfd469501,
     0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be,
@@ -31,12 +40,32 @@ const uint32_t kTable[64] = {
     0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391,
 };
 
-const int shifts[64] = {
-    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
-    5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20,
-    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
-    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21,
+/** Rotate amounts: four per round, repeated over its 16 steps. */
+constexpr int kShift[4][4] = {
+    {7, 12, 17, 22},
+    {5, 9, 14, 20},
+    {4, 11, 16, 23},
+    {6, 10, 15, 21},
 };
+
+constexpr std::array<uint32_t, 4> kIv = {0x67452301u, 0xefcdab89u,
+                                         0x98badcfeu, 0x10325476u};
+
+/** Message word read by step `i` (the per-round schedules). */
+constexpr int
+wordIndex(int i)
+{
+    switch (i / 16) {
+      case 0:
+        return i;
+      case 1:
+        return (5 * i + 1) % 16;
+      case 2:
+        return (3 * i + 5) % 16;
+      default:
+        return (7 * i) % 16;
+    }
+}
 
 uint32_t
 rotl32(uint32_t x, int s)
@@ -44,12 +73,71 @@ rotl32(uint32_t x, int s)
     return (x << s) | (x >> (32 - s));
 }
 
+/**
+ * MD5 step I. The chaining words change roles every step,
+ * (a, b, c, d) -> (d, a', b, c); rather than shuffling values, step I
+ * addresses them at compile-time offsets into `v`, so after 64 steps
+ * every word is back in its slot and the unrolled steps touch only
+ * registers. F and G are the RFC's in cheaper equivalent forms:
+ * F = d ^ (b & (c ^ d)), and G = (c & ~d) + (b & d), whose two terms
+ * share no set bits, so the sum equals the RFC's OR.
+ */
+template <int I>
+inline void
+step(OBF_SECRET uint32_t (&v)[4], OBF_SECRET const uint32_t *m)
+{
+    constexpr int a = (64 - I) % 4;
+    constexpr int b = (65 - I) % 4;
+    constexpr int c = (66 - I) % 4;
+    constexpr int d = (67 - I) % 4;
+    // Everything not depending on b, the previous step's result, is
+    // summed first, keeping the serial chain per step short.
+    uint32_t t = v[a] + kTable[I] + m[wordIndex(I)];
+    if constexpr (I < 16)
+        t += v[d] ^ (v[b] & (v[c] ^ v[d]));
+    else if constexpr (I < 32)
+        t += (v[c] & ~v[d]) + (v[b] & v[d]);
+    else if constexpr (I < 48)
+        t += v[b] ^ (v[c] ^ v[d]);
+    else
+        t += v[c] ^ (v[b] | ~v[d]);
+    v[a] = v[b] + rotl32(t, kShift[I / 16][I % 4]);
+}
+
+template <int... I>
+inline void
+steps(OBF_SECRET uint32_t (&v)[4], OBF_SECRET const uint32_t *m,
+      std::integer_sequence<int, I...>)
+{
+    (step<I>(v, m), ...);
+}
+
+/** One compression of the 16 message words `m` into `state`. */
+void
+compress(OBF_SECRET std::array<uint32_t, 4> &state,
+         OBF_SECRET const uint32_t *m)
+{
+    uint32_t v[4] = {state[0], state[1], state[2], state[3]};
+    steps(v, m, std::make_integer_sequence<int, 64>{});
+    for (int i = 0; i < 4; ++i)
+        state[i] += v[i];
+}
+
+Md5Digest
+toDigest(OBF_SECRET const std::array<uint32_t, 4> &state)
+{
+    Md5Digest out;
+    for (int w = 0; w < 4; ++w)
+        storeLe32(out.data() + 4 * w, state[w]);
+    return out;
+}
+
 } // namespace
 
 void
 Md5::reset()
 {
-    state = {0x67452301u, 0xefcdab89u, 0x98badcfeu, 0x10325476u};
+    state = kIv;
     totalLen = 0;
     bufferLen = 0;
 }
@@ -74,77 +162,44 @@ Md5::update(const uint8_t *data, size_t len)
 Md5Digest
 Md5::finalize()
 {
-    uint64_t bit_len = totalLen * 8;
-    const uint8_t pad_byte = 0x80;
-    update(&pad_byte, 1);
-    const uint8_t zero = 0x00;
-    while (bufferLen != 56)
-        update(&zero, 1);
-
-    uint8_t len_le[8];
-    for (int i = 0; i < 8; ++i)
-        len_le[i] = static_cast<uint8_t>(bit_len >> (8 * i));
-    // update() would recount these; append directly.
-    std::memcpy(buffer.data() + 56, len_le, 8);
+    // Pad in place: 0x80, zeros, and the 64-bit bit length in the
+    // last 8 bytes. A second block is needed only when the 0x80
+    // lands past byte 55, leaving no room for the length.
+    buffer[bufferLen++] = 0x80;
+    if (bufferLen > 56) {
+        std::memset(buffer.data() + bufferLen, 0, 64 - bufferLen);
+        processBlock(buffer.data());
+        bufferLen = 0;
+    }
+    std::memset(buffer.data() + bufferLen, 0, 56 - bufferLen);
+    storeLe64(buffer.data() + 56, totalLen * 8);
     processBlock(buffer.data());
     bufferLen = 0;
-
-    Md5Digest out;
-    for (int w = 0; w < 4; ++w) {
-        for (int b = 0; b < 4; ++b)
-            out[4 * w + b] = static_cast<uint8_t>(state[w] >> (8 * b));
-    }
-    return out;
+    return toDigest(state);
 }
 
 void
 Md5::processBlock(const uint8_t *block)
 {
     uint32_t m[16];
-    for (int i = 0; i < 16; ++i) {
-        m[i] = static_cast<uint32_t>(block[4 * i])
-               | (static_cast<uint32_t>(block[4 * i + 1]) << 8)
-               | (static_cast<uint32_t>(block[4 * i + 2]) << 16)
-               | (static_cast<uint32_t>(block[4 * i + 3]) << 24);
-    }
-
-    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
-
-    for (int i = 0; i < 64; ++i) {
-        uint32_t f;
-        int g;
-        if (i < 16) {
-            f = (b & c) | (~b & d);
-            g = i;
-        } else if (i < 32) {
-            f = (d & b) | (~d & c);
-            g = (5 * i + 1) % 16;
-        } else if (i < 48) {
-            f = b ^ c ^ d;
-            g = (3 * i + 5) % 16;
-        } else {
-            f = c ^ (b | ~d);
-            g = (7 * i) % 16;
-        }
-        uint32_t tmp = d;
-        d = c;
-        c = b;
-        b = b + rotl32(a + f + kTable[i] + m[g], shifts[i]);
-        a = tmp;
-    }
-
-    state[0] += a;
-    state[1] += b;
-    state[2] += c;
-    state[3] += d;
+    for (int i = 0; i < 16; ++i)
+        m[i] = loadLe32(block + 4 * i);
+    compress(state, m);
 }
 
 Md5Digest
 Md5::digest(const uint8_t *data, size_t len)
 {
-    Md5 ctx;
-    ctx.update(data, len);
-    return ctx.finalize();
+    if (len > md5ShortMax) {
+        Md5 ctx;
+        ctx.update(data, len);
+        return ctx.finalize();
+    }
+    OBF_SECRET uint32_t words[16] = {};
+    detail::md5PackShort(data, len, words, 1);
+    std::array<uint32_t, 4> state = kIv;
+    compress(state, words);
+    return toDigest(state);
 }
 
 Md5Digest

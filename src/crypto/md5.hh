@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "crypto/bytes.hh"
 #include "util/secret.hh"
 
 namespace obfusmem {
@@ -37,6 +38,38 @@ struct Md5EngineParams
 /** 128-bit MD5 digest. */
 using Md5Digest = std::array<uint8_t, 16>;
 
+/** Longest message that still pads into a single compression block. */
+constexpr size_t md5ShortMax = 55;
+
+namespace detail {
+
+/**
+ * RFC 1321-pad one short message (`len <= md5ShortMax`) straight into
+ * the 16 message words of its single compression block, word `w` at
+ * `words[w * step]`. The padding is mostly zeros, so instead of
+ * materializing a 64-byte block and re-reading it, the caller zeroes
+ * the words once and this writes only the message words, the 0x80
+ * boundary word and the bit length (word 14; len <= 55 keeps the
+ * boundary word clear of it). `step` is 1 for one contiguous block
+ * and the lane width for the lane-interleaved layout of md5_lanes.
+ */
+inline void
+md5PackShort(const uint8_t *msg, size_t len, uint32_t *words,
+             size_t step)
+{
+    const size_t full = len / 4;
+    const size_t rem = len % 4;
+    for (size_t w = 0; w < full; ++w)
+        words[w * step] = loadLe32(msg + 4 * w);
+    uint32_t boundary = 0x80u << (8 * rem);
+    for (size_t b = 0; b < rem; ++b)
+        boundary |= static_cast<uint32_t>(msg[4 * full + b]) << (8 * b);
+    words[full * step] = boundary;
+    words[14 * step] = static_cast<uint32_t>(len) * 8;
+}
+
+} // namespace detail
+
 /**
  * Incremental MD5 context.
  */
@@ -54,7 +87,11 @@ class Md5
     /** Finalize and return the digest; context must be reset after. */
     Md5Digest finalize();
 
-    /** One-shot digest of a buffer. */
+    /**
+     * One-shot digest of a buffer. Messages of at most md5ShortMax
+     * bytes (every 17-byte MAC preimage) skip the context: they are
+     * padded straight into one block's words and compressed once.
+     */
     static Md5Digest digest(const uint8_t *data, size_t len);
 
     /** One-shot digest of a string. */

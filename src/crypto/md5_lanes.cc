@@ -6,9 +6,12 @@
  * RFC 1321 (0x80, zeros, 64-bit little-endian bit length) directly
  * into the lane-interleaved word layout and handed to the widest
  * compression the build and CPU allow: AVX-512 sixteen at a time,
- * AVX2 eight at a time, with tails — and every message when no wide
- * kernel is available — going through the scalar Md5 context, which
- * is also the oracle the tests pin the kernels against.
+ * AVX2 eight at a time. Sub-8 tails — which hold almost every
+ * two-message request group — and every message when no wide kernel
+ * is available go through Md5::digest's one-block path: the same
+ * packing, then one straight-line scalar compression per message.
+ * The tests pin every kernel against Md5::digest, and Md5::digest
+ * against a byte-at-a-time context.
  */
 
 #include "crypto/md5_lanes.hh"
@@ -76,32 +79,18 @@ laneMode()
 }
 
 /**
- * Pad + transpose one W-lane group into the interleaved word layout.
- * The RFC 1321 padding of a short message is mostly zeros, so instead
- * of materializing a 64-byte block per lane and re-reading it, zero
- * the word array once and write only the message words, the 0x80
- * boundary word and the bit length (len <= 55 keeps the boundary word
- * clear of the length words).
+ * Pad + transpose one W-lane group into the interleaved word layout:
+ * zero the group once, then each lane packs exactly as a single
+ * short digest does (detail::md5PackShort), at stride W.
  */
 template <size_t W>
 void
 packGroup(const uint8_t *msgs, size_t stride, size_t len,
           OBF_SECRET uint32_t *words) // words[16 * W]
 {
-    const size_t full = len / 4;
-    const size_t rem = len % 4;
     std::memset(words, 0, 16 * W * sizeof(uint32_t));
-    for (size_t l = 0; l < W; ++l) {
-        const uint8_t *msg = msgs + l * stride;
-        for (size_t w = 0; w < full; ++w)
-            words[w * W + l] = loadLe32(msg + 4 * w);
-        uint32_t boundary = 0x80u << (8 * rem);
-        for (size_t b = 0; b < rem; ++b)
-            boundary |= static_cast<uint32_t>(msg[4 * full + b])
-                        << (8 * b);
-        words[full * W + l] = boundary;
-        words[14 * W + l] = static_cast<uint32_t>(len) * 8;
-    }
+    for (size_t l = 0; l < W; ++l)
+        detail::md5PackShort(msgs + l * stride, len, words + l, W);
 }
 
 /** Transpose one W-lane group's finished state back into digests. */
@@ -182,7 +171,7 @@ md5LanesAvailable()
            || (detail::md5LanesAvx512CompiledIn() && cpuHasAvx512f());
 }
 
-void
+size_t
 md5ShortBatch(const uint8_t *msgs, size_t stride, size_t len,
               size_t n, OBF_SECRET Md5Digest *out)
 {
@@ -211,8 +200,10 @@ md5ShortBatch(const uint8_t *msgs, size_t stride, size_t len,
         for (; i + md5LaneWidth <= n; i += md5LaneWidth)
             digestGroupAvx2(msgs + i * stride, stride, len, out + i);
     }
+    const size_t laned = i;
     for (; i < n; ++i)
         out[i] = Md5::digest(msgs + i * stride, len);
+    return laned;
 }
 
 } // namespace crypto

@@ -16,8 +16,10 @@
  * each of the 4 state words) is one contiguous, directly loadable
  * 32-byte vector.
  *
- * Bit-identical to Md5::digest per message by construction; the tests
- * pin every lane against the scalar context.
+ * Each lane is packed by the same detail::md5PackShort that
+ * Md5::digest uses for its one-block path, so the two share one
+ * padding layout; the tests pin every lane against Md5::digest, and
+ * Md5::digest against a byte-at-a-time context.
  */
 
 #ifndef OBFUSMEM_CRYPTO_MD5_LANES_HH
@@ -38,20 +40,22 @@ constexpr size_t md5LaneWidth = 8;
 /** Lanes per AVX-512 compression (32-bit lanes of a zmm register). */
 constexpr size_t md5LaneWidthZmm = 16;
 
-/** Longest message that still pads into a single compression block. */
-constexpr size_t md5ShortMax = 55;
-
 /**
  * One-shot MD5 digests for `n` equal-length short messages
  * (`len <= md5ShortMax`), packed `stride` bytes apart starting at
  * `msgs`. Dispatches to the widest kernel the build and the running
- * CPU allow — AVX-512 16-lane, then AVX2 8-lane, then the scalar Md5
- * context (override with OBFUSMEM_MD5_LANES=avx512|avx2|scalar; a
- * forced avx512 run still drains sub-group tails through the
- * narrower kernels). Output digests are bit-identical on every path.
+ * CPU allow — AVX-512 16-lane, then AVX2 8-lane (override with
+ * OBFUSMEM_MD5_LANES=avx512|avx2|scalar; a forced avx512 run still
+ * drains sub-group tails through the narrower kernels). Sub-8 tails,
+ * and every message under the scalar mode, go through Md5::digest's
+ * one-block path. Output digests are bit-identical on every path.
+ *
+ * Returns how many of the `n` messages a wide kernel compressed (the
+ * rest took the scalar one-block path): an exact, host-independent
+ * count that benches use to prove a batch really ran in lanes.
  */
-void md5ShortBatch(const uint8_t *msgs, size_t stride, size_t len,
-                   size_t n, OBF_SECRET Md5Digest *out);
+size_t md5ShortBatch(const uint8_t *msgs, size_t stride, size_t len,
+                     size_t n, OBF_SECRET Md5Digest *out);
 
 /** True when the AVX2 kernel is compiled in and the CPU runs it. */
 bool md5LanesAvailable();

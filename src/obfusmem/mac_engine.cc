@@ -36,7 +36,7 @@ MacEngine::compute(const WireHeader &hdr, uint64_t counter) const
     return crypto::Md5::digest(buf, sizeof(buf));
 }
 
-void
+size_t
 MacEngine::computeBatch(const WireHeader *hdrs,
                         const uint64_t *counters,
                         crypto::Md5Digest *out, size_t n) const
@@ -50,13 +50,13 @@ MacEngine::computeBatch(const WireHeader *hdrs,
         uint8_t msgs[maxStack * macMsgLen];
         for (size_t i = 0; i < n; ++i)
             packMacMessage(hdrs[i], counters[i], msgs + i * macMsgLen);
-        crypto::md5ShortBatch(msgs, macMsgLen, macMsgLen, n, out);
-        return;
+        return crypto::md5ShortBatch(msgs, macMsgLen, macMsgLen, n, out);
     }
     std::vector<uint8_t> msgs(n * macMsgLen);
     for (size_t i = 0; i < n; ++i)
         packMacMessage(hdrs[i], counters[i], msgs.data() + i * macMsgLen);
-    crypto::md5ShortBatch(msgs.data(), macMsgLen, macMsgLen, n, out);
+    return crypto::md5ShortBatch(msgs.data(), macMsgLen, macMsgLen, n,
+                                 out);
 }
 
 bool

@@ -70,14 +70,20 @@ class MacEngine
      * Compute the MACs of a batch of messages in one call — both
      * messages of a request group are MACed together, mirroring the
      * batched pad generation (the hardware analogue: one pass through
-     * the pipelined MD5 engine per group, not per message).
+     * the pipelined MD5 engine per group, not per message). Returns
+     * how many of the `n` tags the wide MD5 lanes computed
+     * (crypto::md5ShortBatch); the rest took the scalar one-block
+     * path.
      */
-    void computeBatch(const WireHeader *hdrs, const uint64_t *counters,
-                      OBF_SECRET crypto::Md5Digest *out,
-                      size_t n) const;
+    size_t computeBatch(const WireHeader *hdrs, const uint64_t *counters,
+                        OBF_SECRET crypto::Md5Digest *out,
+                        size_t n) const;
 
     /**
-     * Verify a received MAC against local plaintext + counter. The
+     * Verify a received MAC against local plaintext + counter. Each
+     * received message is verified at its own delivery event, so
+     * verification is one scalar one-block digest per message, never
+     * a batch. The
      * boolean outcome is deliberately public (it drives the tamper
      * fail-stop); the comparison inside goes through crypto::ctEqual.
      */

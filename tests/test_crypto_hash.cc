@@ -8,6 +8,8 @@
 
 #include <array>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "crypto/bytes.hh"
 #include "crypto/hmac.hh"
@@ -80,6 +82,44 @@ TEST(Md5, ExactBlockSizeMessages)
                    msg.size());
         EXPECT_EQ(toHex(ctx.finalize()), md5Hex(msg)) << len;
     }
+}
+
+TEST(Md5, OneBlockPathMatchesByteAtATimeContext)
+{
+    // Md5::digest packs messages of up to md5ShortMax bytes straight
+    // into one block and hands longer ones to the context. Feeding a
+    // context one byte at a time exercises neither shortcut, so
+    // lengths 0..130 pin both paths across the 55/56 one-block
+    // handover and the 64/128 block edges. The lane tests pin the
+    // kernels against Md5::digest, so they rest on this oracle.
+    std::vector<uint8_t> msg(130);
+    for (size_t i = 0; i < msg.size(); ++i)
+        msg[i] = static_cast<uint8_t>(i * 73 + 29);
+    for (size_t len = 0; len <= msg.size(); ++len) {
+        Md5 ctx;
+        for (size_t i = 0; i < len; ++i)
+            ctx.update(msg.data() + i, 1);
+        EXPECT_EQ(Md5::digest(msg.data(), len), ctx.finalize())
+            << "len=" << len;
+    }
+}
+
+TEST(Md5, PaddingEdgeKnownAnswers)
+{
+    // Digests of runs of 'a' from an independent MD5 implementation,
+    // at the lengths where padding changes shape: the MAC preimage
+    // length, the longest one-block message, the first two-block
+    // message, and the block edges.
+    const std::pair<size_t, const char *> vectors[] = {
+        {17, "88e42e96cc71151b6e1938a1699b0a27"},
+        {55, "ef1772b6dff9a122358552954ad0df65"},
+        {56, "3b0c8ac703f828b04c6c197006d17218"},
+        {63, "b06521f39153d618550606be297466d5"},
+        {64, "014842d480b571495a4a0363793f7367"},
+        {65, "c743a45e0d2e6a95cb859adae0248435"},
+    };
+    for (const auto &[len, hex] : vectors)
+        EXPECT_EQ(md5Hex(std::string(len, 'a')), hex) << "len=" << len;
 }
 
 TEST(Sha1, KnownVectors)
@@ -226,6 +266,29 @@ TEST(Md5Lanes, BatchMatchesScalarAcrossGroupBoundaries)
         for (size_t i = 0; i < n; ++i)
             EXPECT_EQ(got[i], Md5::digest(msgs.data() + i * len, len))
                 << "n=" << n << " i=" << i;
+    }
+}
+
+TEST(Md5Lanes, ReportsLanedCount)
+{
+    // The returned count is exact: whole wide groups from the front
+    // of the batch, a tail shorter than one group left to the scalar
+    // path (sub-8 normally, sub-16 in a build without the ymm
+    // kernel), or no lanes at all when the dispatch runs scalar.
+    const size_t len = 17;
+    for (size_t n : {0u, 1u, 2u, 7u, 8u, 9u, 16u, 31u, 32u, 64u, 65u}) {
+        std::vector<uint8_t> msgs(n * len + 1, 0x5a);
+        std::vector<Md5Digest> got(n);
+        const size_t laned =
+            md5ShortBatch(msgs.data(), len, len, n, got.data());
+        EXPECT_LE(laned, n) << "n=" << n;
+        EXPECT_EQ(laned % md5LaneWidth, 0u) << "n=" << n;
+        if (laned > 0) {
+            EXPECT_LT(n - laned, md5LaneWidthZmm) << "n=" << n;
+        }
+        if (!md5LanesAvailable()) {
+            EXPECT_EQ(laned, 0u) << "n=" << n;
+        }
     }
 }
 

@@ -176,6 +176,47 @@ TEST(MacEngine, DetectsCounterSkewFromDropOrReplay)
     EXPECT_FALSE(mac.verify(hdr, 71, tag)); // replay
 }
 
+TEST(MacEngine, ComputeBatchMatchesPerMessageCompute)
+{
+    // Batch sizes straddle the lane groupings (8, 16, pairs of 32)
+    // and the 64-message stack buffer; n > 64 packs on the heap.
+    MacEngine mac(MacEngine::Params{});
+    Random rng(5);
+    for (size_t n : {1u, 2u, 3u, 7u, 8u, 15u, 16u, 17u, 32u, 33u, 64u,
+                     65u, 100u}) {
+        std::vector<WireHeader> hdrs(n);
+        std::vector<uint64_t> counters(n);
+        for (size_t i = 0; i < n; ++i) {
+            hdrs[i].cmd = i % 3 ? MemCmd::Read : MemCmd::Write;
+            hdrs[i].addr = rng.next() & ~uint64_t{63};
+            counters[i] = rng.next();
+        }
+        std::vector<Md5Digest> tags(n);
+        const size_t laned =
+            mac.computeBatch(hdrs.data(), counters.data(), tags.data(), n);
+        EXPECT_LE(laned, n);
+        for (size_t i = 0; i < n; ++i)
+            EXPECT_EQ(tags[i], mac.compute(hdrs[i], counters[i]))
+                << "n=" << n << " i=" << i;
+    }
+}
+
+TEST(MacEngine, VerifyRejectsEverySingleBitFlip)
+{
+    MacEngine mac(MacEngine::Params{});
+    WireHeader hdr;
+    hdr.cmd = MemCmd::Read;
+    hdr.addr = 0x7fffc0;
+    const uint64_t counter = 0x0123456789abcdefull;
+    const Md5Digest tag = mac.compute(hdr, counter);
+    ASSERT_TRUE(mac.verify(hdr, counter, tag));
+    for (size_t bit = 0; bit < 8 * tag.size(); ++bit) {
+        Md5Digest flipped = tag;
+        flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        EXPECT_FALSE(mac.verify(hdr, counter, flipped)) << "bit " << bit;
+    }
+}
+
 TEST(MacEngine, EncryptAndMacIsFasterThanEncryptThenMac)
 {
     // Observation 4: overlapping MAC generation with encryption
