@@ -7,7 +7,7 @@
  *
  * A custom main also hand-times the AES implementations against each
  * other and appends the speedups as OBFUSMEM_BENCH_JSON rows: each
- * hardware lane (aesni, aesni4, vaes) versus the T-table path, with
+ * hardware lane (aesni, vaes) versus the T-table path, with
  * the ratio in a dedicated `speedup_x` field (`ticks` carries the
  * blocks processed). Earlier baselines (BENCH_PR4.json) overloaded
  * `overhead_pct` with this ratio; consumers should prefer
@@ -48,8 +48,7 @@ key()
 }
 
 constexpr AesImpl implForArg[] = {AesImpl::Reference, AesImpl::Ttable,
-                                  AesImpl::Aesni, AesImpl::Aesni4,
-                                  AesImpl::Vaes};
+                                  AesImpl::Aesni, AesImpl::Vaes};
 
 /** True when `impl` can run on this host/build (Skip otherwise). */
 bool
@@ -57,7 +56,6 @@ implAvailable(AesImpl impl)
 {
     switch (impl) {
       case AesImpl::Aesni:
-      case AesImpl::Aesni4:
         return Aes128::aesniAvailable();
       case AesImpl::Vaes:
         return Aes128::vaesAvailable();
@@ -102,8 +100,8 @@ BM_AesEncryptBlockImpl(benchmark::State &state)
 }
 BENCHMARK(BM_AesEncryptBlockImpl)->Arg(0)->Arg(1)->Arg(2);
 
-// Batched pad-sized bursts (48 blocks = one prefetch refill of eight
-// 6-pad request groups): where the AES-NI 8-wide pipelining shows.
+// Batched pad-sized bursts (48 blocks = eight 6-pad request groups):
+// where the AES-NI 8-wide pipelining shows.
 void
 BM_AesEncryptBlocksImpl(benchmark::State &state)
 {
@@ -123,7 +121,7 @@ BM_AesEncryptBlocksImpl(benchmark::State &state)
     state.SetLabel(aesImplName(impl));
 }
 BENCHMARK(BM_AesEncryptBlocksImpl)
-    ->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
+    ->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 void
 BM_AesCtrPad(benchmark::State &state)
@@ -370,12 +368,11 @@ emitAesSpeedupRows()
         const char *name;
         size_t batch;
     };
-    // batch 1 = the single-block acceptance shape; batch 48 = one
-    // prefetch refill of eight 6-pad request groups (also enough to
-    // fill the 16-block VAES lanes three times over).
+    // batch 1 = the single-block acceptance shape; batch 48 = eight
+    // 6-pad request groups (also enough to fill the 16-block VAES
+    // lanes three times over).
     const Shape shapes[] = {{"single-block", 1}, {"batch48", 48}};
-    const AesImpl lanes[] = {AesImpl::Aesni, AesImpl::Aesni4,
-                             AesImpl::Vaes};
+    const AesImpl lanes[] = {AesImpl::Aesni, AesImpl::Vaes};
     for (const auto &s : shapes) {
         const double ttable =
             aesBlocksPerSec(AesImpl::Ttable, s.batch, blocks);

@@ -15,20 +15,18 @@
 
 #include "bench_common.hh"
 #include "crypto/aes128.hh"
-#include "secure/pad_prefetcher.hh"
 
 using namespace obfusmem;
 using namespace obfusmem::bench;
 
 namespace {
 
-/** "aes=<impl>,prefetch=<depth>,batch=<0|1>": host crypto config. */
+/** "aes=<impl>,batch=<0|1>": host crypto config. */
 std::string
 hostCryptoConfig()
 {
     return std::string("aes=") +
            crypto::aesImplName(crypto::Aes128::defaultImpl()) +
-           ",prefetch=" + std::to_string(defaultPadPrefetchDepth()) +
            ",batch=" +
            (env::u64("OBFUSMEM_BURST_BATCH", 1) != 0 ? "1" : "0");
 }
@@ -93,7 +91,7 @@ main()
                 8.3, 10.9);
 
     // Summary row tagged with the host crypto config so A/B runs
-    // (OBFUSMEM_AES_IMPL / OBFUSMEM_PAD_PREFETCH) can be compared by
+    // (OBFUSMEM_AES_IMPL / OBFUSMEM_BURST_BATCH) can be compared by
     // total host wall time in BENCH_PR4.json. Simulated ticks are
     // identical across configs by construction.
     double totalWallMs = 0;

@@ -208,7 +208,6 @@ aesImplName(AesImpl impl)
       case AesImpl::Ttable: return "ttable";
       case AesImpl::Reference: return "reference";
       case AesImpl::Aesni: return "aesni";
-      case AesImpl::Aesni4: return "aesni4";
       case AesImpl::Vaes: return "vaes";
     }
     return "unknown";
@@ -243,8 +242,7 @@ Aes128::setImpl(AesImpl impl)
              aesniAvailable() ? "AES-NI" : "the T-table path");
         impl = aesniAvailable() ? AesImpl::Aesni : AesImpl::Ttable;
     }
-    if ((impl == AesImpl::Aesni || impl == AesImpl::Aesni4)
-        && !aesniAvailable()) {
+    if (impl == AesImpl::Aesni && !aesniAvailable()) {
         warn("AES-NI requested but ",
              detail::aesniCompiledIn() ? "this CPU does not support it"
                                        : "this build does not include it",
@@ -263,10 +261,10 @@ Aes128::defaultImpl()
                 return AesImpl::Vaes;
             return aesniAvailable() ? AesImpl::Aesni : AesImpl::Ttable;
         };
-        size_t unset = 5;
-        size_t pick = env::choice(
-            "OBFUSMEM_AES_IMPL",
-            {"vaes", "aesni", "aesni4", "ttable", "reference"}, unset);
+        size_t unset = 4;
+        size_t pick = env::choice("OBFUSMEM_AES_IMPL",
+                                  {"vaes", "aesni", "ttable", "reference"},
+                                  unset);
         switch (pick) {
           case 0:
             if (vaesAvailable())
@@ -278,19 +276,17 @@ Aes128::defaultImpl()
                  "; using ", aesniAvailable() ? "aesni" : "ttable");
             return aesniAvailable() ? AesImpl::Aesni : AesImpl::Ttable;
           case 1:
-          case 2:
             if (aesniAvailable())
-                return pick == 1 ? AesImpl::Aesni : AesImpl::Aesni4;
-            warn("OBFUSMEM_AES_IMPL=aesni", pick == 2 ? "4" : "",
-                 " but AES-NI is unavailable ",
+                return AesImpl::Aesni;
+            warn("OBFUSMEM_AES_IMPL=aesni but AES-NI is unavailable ",
                  detail::aesniCompiledIn()
                      ? "(CPU lacks the instructions)"
                      : "(disabled in this build)",
                  "; using ttable");
             return AesImpl::Ttable;
-          case 3:
+          case 2:
             return AesImpl::Ttable;
-          case 4:
+          case 3:
             return AesImpl::Reference;
           default:
             return widest();
@@ -407,10 +403,9 @@ Aes128::encryptBlock(const Block128 &plaintext) const
     panic_if(!keyed, "Aes128 used before setKey");
     switch (implChoice) {
       case AesImpl::Aesni:
-      case AesImpl::Aesni4:
       case AesImpl::Vaes:
         // The wide lanes only differ on batches; a lone block is an
-        // AES-NI round trip for all three.
+        // AES-NI round trip for both.
         return detail::aesniEncryptBlock(roundKeys, plaintext);
       case AesImpl::Ttable:
         return encryptTtable(plaintext);
@@ -430,9 +425,6 @@ Aes128::encryptBlocks(const Block128 *in, Block128 *out, size_t n) const
         return;
       case AesImpl::Aesni:
         detail::aesniEncryptBlocks(roundKeys, in, out, n);
-        return;
-      case AesImpl::Aesni4:
-        detail::aesni4EncryptBlocks(roundKeys, in, out, n);
         return;
       case AesImpl::Ttable:
         for (size_t i = 0; i < n; ++i)

@@ -18,8 +18,8 @@
  * loop together. aesenc has multi-cycle latency but single-cycle
  * throughput on every AES-NI core, so interleaving independent
  * blocks fills the pipeline the way the paper's hardware engine fills
- * its 24-stage pipe; this is where the counter-ahead pad prefetcher's
- * batch refills collect their speedup.
+ * its 24-stage pipe; each six-pad request group and five-pad reply
+ * goes through it in one call.
  */
 
 #include "crypto/aes128.hh"
@@ -150,38 +150,6 @@ aesniEncryptBlocks(const Aes128::RoundKeys &schedule,
         store(out[i].data(), encryptOne(rk, load(in[i].data())));
 }
 
-void
-aesni4EncryptBlocks(const Aes128::RoundKeys &schedule,
-                    const Block128 *in, Block128 *out, size_t n)
-{
-    // The 4-wide-only rung of the lane ladder: same pipelining idea
-    // as the 8-wide loop, half the architectural registers in flight.
-    // Kept selectable (AesImpl::Aesni4) so the VAES dispatch has a
-    // mid-width fallback to be validated against.
-    __m128i rk[11];
-    loadRoundKeys(schedule, rk);
-
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        __m128i s0 = _mm_xor_si128(load(in[i + 0].data()), rk[0]);
-        __m128i s1 = _mm_xor_si128(load(in[i + 1].data()), rk[0]);
-        __m128i s2 = _mm_xor_si128(load(in[i + 2].data()), rk[0]);
-        __m128i s3 = _mm_xor_si128(load(in[i + 3].data()), rk[0]);
-        for (int r = 1; r < 10; ++r) {
-            s0 = _mm_aesenc_si128(s0, rk[r]);
-            s1 = _mm_aesenc_si128(s1, rk[r]);
-            s2 = _mm_aesenc_si128(s2, rk[r]);
-            s3 = _mm_aesenc_si128(s3, rk[r]);
-        }
-        store(out[i + 0].data(), _mm_aesenclast_si128(s0, rk[10]));
-        store(out[i + 1].data(), _mm_aesenclast_si128(s1, rk[10]));
-        store(out[i + 2].data(), _mm_aesenclast_si128(s2, rk[10]));
-        store(out[i + 3].data(), _mm_aesenclast_si128(s3, rk[10]));
-    }
-    for (; i < n; ++i)
-        store(out[i].data(), encryptOne(rk, load(in[i].data())));
-}
-
 #else // !OBFUSMEM_HAVE_AESNI
 
 // Stub build (-DOBFUSMEM_DISABLE_AESNI=ON or a non-x86 target): the
@@ -203,13 +171,6 @@ aesniEncryptBlock(const Aes128::RoundKeys &, const Block128 &)
 void
 aesniEncryptBlocks(const Aes128::RoundKeys &, const Block128 *,
                    Block128 *, size_t)
-{
-    panic("AES-NI path called in a build without AES-NI support");
-}
-
-void
-aesni4EncryptBlocks(const Aes128::RoundKeys &, const Block128 *,
-                    Block128 *, size_t)
 {
     panic("AES-NI path called in a build without AES-NI support");
 }

@@ -34,10 +34,6 @@ ObfusMemMemSide::ObfusMemMemSide(const std::string &name,
             controlNonceBase + 2ull * channel_id + 1),
       rekeyRng(0x4ec00000 + channel_id)
 {
-    reqPads.configure(rxCipher, countersPerRequestGroup,
-                      params.padPrefetchDepth, &padPrefetch);
-    replyPads.configure(txCipher, countersPerReply,
-                        params.padPrefetchDepth, &padPrefetch);
     stats().addScalar("realReads", &realReads,
                       "real read requests forwarded to PCM");
     stats().addScalar("realWrites", &realWrites,
@@ -60,18 +56,10 @@ ObfusMemMemSide::ObfusMemMemSide(const std::string &name,
                       "forward counter resynchronizations");
     stats().addScalar("rekeysCompleted", &rekeysCompleted,
                       "re-key epochs installed");
-    padPrefetch.regStats(stats());
-}
-
-void
-ObfusMemMemSide::schedulePadRefill()
-{
-    // Zero-delay refills between protocol events: no simulated state
-    // is read or written, so wire traffic and timing are untouched.
-    if (reqPads.shouldScheduleRefill())
-        scheduleAfter(0, [this]() { reqPads.refill(); });
-    if (replyPads.shouldScheduleRefill())
-        scheduleAfter(0, [this]() { replyPads.refill(); });
+    // Retired pad-prefetch counters, kept at zero for perfbench's readers.
+    for (const char *s :
+         {"padPrefetchHits", "padPrefetchMisses", "padsPrefetched"})
+        stats().addScalar(s, &retiredZero, "always 0 (retired)");
 }
 
 void
@@ -87,14 +75,11 @@ ObfusMemMemSide::receiveMessage(WireMessage msg)
                "request counter exhausted on channel ", channel);
 
     // Stage the whole group's pads when its first message arrives;
-    // the second message reuses the staging. The prefetch ring
-    // normally has the group ready, and a miss batch-generates the
-    // identical bytes on the spot. A counter skew
-    // (skewRequestCounter) invalidates both so desync behaves
+    // the second message reuses the staging. A counter skew
+    // (skewRequestCounter) drops the staging so desync behaves
     // exactly as pad-by-pad generation would.
     if (groupPhase == 0 || !groupPadsValid) {
-        reqPads.take(reqCounter, groupPads.data());
-        schedulePadRefill();
+        rxCipher.genPads(reqCounter, groupPads.data(), groupPads.size());
         groupPadsValid = true;
     }
 
@@ -282,9 +267,7 @@ ObfusMemMemSide::sendReadReply(const WireHeader &req_hdr,
     hdr.tag = req_hdr.tag;
     hdr.dummy = req_hdr.dummy;
 
-    ReplyPads pads;
-    replyPads.take(ctr, pads.pad.data());
-    schedulePadRefill();
+    ReplyPads pads = genReplyPads(txCipher, ctr);
     padsUsed += 5;
     replyBurst.stageData(channel, pads.header(), pads.payload(), hdr,
                          data, ctr);
@@ -426,7 +409,6 @@ ObfusMemMemSide::resyncTo(uint64_t base, unsigned phase,
     reqCounter = base;
     groupPhase = phase;
     groupPadsValid = false;
-    reqPads.invalidate();
     receiveMessage(std::move(msg));
 }
 
@@ -492,8 +474,7 @@ ObfusMemMemSide::handleHandshakeChunk(const HandshakeChunk &chunk)
     }
 
     // Install the epoch key: both data-plane streams restart at
-    // counter zero under the new key. The prefetch rings hold pads of
-    // the old key; invalidate so the next take regenerates.
+    // counter zero under the new key.
     installedEpoch = chunk.epoch;
     rxCipher.setKey(key, 2ull * channel);
     txCipher.setKey(key, 2ull * channel + 1);
@@ -501,8 +482,6 @@ ObfusMemMemSide::handleHandshakeChunk(const HandshakeChunk &chunk)
     groupPhase = 0;
     groupPadsValid = false;
     respCounter = 0;
-    reqPads.invalidate();
-    replyPads.invalidate();
     ++rekeysCompleted;
     if (audit) {
         audit->onIncident(curTick(), channel, EndpointSide::Memory,

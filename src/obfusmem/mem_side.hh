@@ -22,7 +22,6 @@
 #include "obfusmem/burst_batch.hh"
 #include "obfusmem/params.hh"
 #include "obfusmem/wire_format.hh"
-#include "secure/pad_prefetcher.hh"
 #include "sim/sim_object.hh"
 #include "util/random.hh"
 #include "util/secret.hh"
@@ -83,10 +82,8 @@ class ObfusMemMemSide : public SimObject
         reqCounter += delta;
         // Any cached group pads were generated from the old counter;
         // drop them so the next message decrypts (and fails) exactly
-        // as it would have without the cache. The prefetch ring holds
-        // pads for the unskewed sequence for the same reason.
+        // as it would have without the cache.
         groupPadsValid = false;
-        reqPads.invalidate();
     }
 
     /** Attach the trace auditor's endpoint hook (may be null). */
@@ -122,9 +119,6 @@ class ObfusMemMemSide : public SimObject
                        uint64_t hdr_ctr);
     void sendReadReply(const WireHeader &req_hdr,
                        const DataBlock &data);
-
-    /** Schedule zero-delay refills for depleted pad rings. */
-    void schedulePadRefill();
 
     // --- Recovery (see obfusmem/recovery.hh) ------------------------
 
@@ -184,11 +178,6 @@ class ObfusMemMemSide : public SimObject
     bool groupPadsValid = false;
     uint64_t respCounter = 0;
 
-    /** Counter-ahead rings feeding the group staging and replies. */
-    PadPrefetcher reqPads;
-    PadPrefetcher replyPads;
-    PadPrefetchStats padPrefetch;
-
     // --- Recovery / control-plane state -----------------------------
     //
     // The control plane is a second pair of CTR streams under a key
@@ -220,6 +209,7 @@ class ObfusMemMemSide : public SimObject
     statistics::Scalar macFailures, headerDesyncs;
     statistics::Scalar padsUsed;
     statistics::Scalar framesDiscarded, resyncs, rekeysCompleted;
+    statistics::Scalar retiredZero;
 };
 
 } // namespace obfusmem

@@ -9,7 +9,6 @@
 
 #include "obfusmem/mac_engine.hh"
 #include "obfusmem/recovery.hh"
-#include "secure/pad_prefetcher.hh"
 #include "sim/types.hh"
 
 namespace obfusmem {
@@ -55,15 +54,6 @@ struct ObfusMemParams
      * split scheme wins under load.
      */
     bool uniformPackets = false;
-
-    /**
-     * Counter-ahead pad prefetch depth, in pad groups per counter
-     * stream (0 disables). Pads are pure functions of (key, counter),
-     * so the depth cannot change anything on the wire - it only moves
-     * host-side AES work off the protocol path into batched refills.
-     * Default from OBFUSMEM_PAD_PREFETCH.
-     */
-    unsigned padPrefetchDepth = defaultPadPrefetchDepth();
 
     /** Session Key Table lookup (one core cycle). */
     Tick keyTableLatency = 500;

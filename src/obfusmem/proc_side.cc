@@ -38,10 +38,6 @@ ObfusMemProcSide::ObfusMemProcSide(
                         controlNonceBase + 2ull * c + 1);
         cs.bus = buses[c];
         cs.dummyAddr = dummy_addrs[c];
-        cs.txPads.configure(cs.tx, countersPerRequestGroup,
-                            params.padPrefetchDepth, &padPrefetch);
-        cs.rxPads.configure(cs.rx, countersPerReply,
-                            params.padPrefetchDepth, &padPrefetch);
     }
 
     stats().addScalar("realReads", &realReads, "real reads sent");
@@ -78,25 +74,10 @@ ObfusMemProcSide::ObfusMemProcSide(
                       "channels taken out of service");
     stats().addScalar("requestsDropped", &requestsDropped,
                       "requests dropped on quarantined channels");
-    padPrefetch.regStats(stats());
-}
-
-void
-ObfusMemProcSide::schedulePadRefill(unsigned channel)
-{
-    // Refills run from zero-delay events between protocol events (the
-    // host analogue of idle AES-pipeline cycles). They read no
-    // simulated state and emit no messages, so neither wire traffic
-    // nor timing can change; only where the host pays for AES moves.
-    ChannelState &cs = channelState[channel];
-    if (cs.txPads.shouldScheduleRefill()) {
-        scheduleAfter(0,
-            [this, channel]() { channelState[channel].txPads.refill(); });
-    }
-    if (cs.rxPads.shouldScheduleRefill()) {
-        scheduleAfter(0,
-            [this, channel]() { channelState[channel].rxPads.refill(); });
-    }
+    // Retired pad-prefetch counters, kept at zero for perfbench's readers.
+    for (const char *s :
+         {"padPrefetchHits", "padPrefetchMisses", "padsPrefetched"})
+        stats().addScalar(s, &retiredZero, "always 0 (retired)");
 }
 
 void
@@ -322,11 +303,7 @@ ObfusMemProcSide::sendGroup(unsigned channel, MemPacket pkt,
                    countersPerRequestGroup - 1);
     }
 
-    // The prefetch ring usually has the group's pads already; a miss
-    // batch-generates them on the spot (same bytes either way).
-    GroupPads pads;
-    cs.txPads.take(ctr, pads.pad.data());
-    schedulePadRefill(channel);
+    GroupPads pads = genGroupPads(cs.tx, ctr);
 
     if (params.uniformPackets) {
         // One fixed-size message per request; every request expects a
@@ -501,9 +478,7 @@ ObfusMemProcSide::sendDummyGroup(unsigned channel)
                    countersPerRequestGroup - 1);
     }
 
-    GroupPads pads;
-    cs.txPads.take(ctr, pads.pad.data());
-    schedulePadRefill(channel);
+    GroupPads pads = genGroupPads(cs.tx, ctr);
 
     if (params.uniformPackets) {
         // One uniform dummy read message fills the channel.
@@ -662,18 +637,14 @@ ObfusMemProcSide::receiveReply(unsigned channel, WireMessage &&msg)
     OBF_DCHECK(ctr <= UINT64_MAX - countersPerReply,
                "response counter exhausted on channel ", channel);
 
-    ReplyPads pads;
-    cs.rxPads.take(ctr, pads.pad.data());
-    schedulePadRefill(channel);
+    ReplyPads pads = genReplyPads(cs.rx, ctr);
     std::optional<WireHeader> hdr =
         decryptHeaderWithPad(pads.header(), msg.cipherHeader);
 
     if (!hdr && params.recovery.enabled) {
         // An unattributable frame must not consume a counter
         // position: trial-resync forward, try the control plane, or
-        // discard. The ring take above is harmless - pads are pure
-        // functions of (key, counter) and the next take regenerates
-        // identical bytes.
+        // discard.
         recoverReplyFrame(channel, std::move(msg));
         return;
     }
@@ -827,9 +798,7 @@ ObfusMemProcSide::retransmitGroup(unsigned channel, uint16_t tag)
         notifyPads(channel, CounterStream::Request, ctr + 1,
                    countersPerRequestGroup - 1);
     }
-    GroupPads pads;
-    cs.txPads.take(ctr, pads.pad.data());
-    schedulePadRefill(channel);
+    GroupPads pads = genGroupPads(cs.tx, ctr);
 
     ++retransmits;
     p.attempts += 1;
@@ -981,7 +950,6 @@ ObfusMemProcSide::recoverReplyFrame(unsigned channel, WireMessage msg)
         notifyPads(channel, CounterStream::Response, cs.respCounter,
                    pos - cs.respCounter);
         cs.respCounter = pos;
-        cs.rxPads.invalidate();
         receiveReply(channel, std::move(msg));
         return;
     }
@@ -1065,13 +1033,11 @@ ObfusMemProcSide::finishRekey(unsigned channel,
         cs.rekeyEpoch, channel);
 
     // Both data-plane streams restart at counter zero under the new
-    // epoch key. The prefetch rings hold pads of the old key.
+    // epoch key.
     cs.tx.setKey(key, 2ull * channel);
     cs.rx.setKey(key, 2ull * channel + 1);
     cs.reqCounter = 0;
     cs.respCounter = 0;
-    cs.txPads.invalidate();
-    cs.rxPads.invalidate();
     cs.dh.reset();
     cs.rekeyAttempts = 0;
     cs.health = ChannelHealth::Active;

@@ -26,7 +26,6 @@
 #include "obfusmem/burst_batch.hh"
 #include "obfusmem/params.hh"
 #include "obfusmem/wire_format.hh"
-#include "secure/pad_prefetcher.hh"
 #include "sim/sim_object.hh"
 #include "util/random.hh"
 #include "util/secret.hh"
@@ -110,9 +109,6 @@ class ObfusMemProcSide : public SimObject, public MemSink
     skewResponseCounter(unsigned channel, uint64_t delta)
     {
         channelState[channel].respCounter += delta;
-        // The ring holds pads for the unskewed counter sequence; drop
-        // them so desync is detected exactly as without prefetching.
-        channelState[channel].rxPads.invalidate();
     }
 
     /** Attach the trace auditor's endpoint hook (may be null). */
@@ -212,9 +208,6 @@ class ObfusMemProcSide : public SimObject, public MemSink
          * epoch slot, and whether the heartbeat is running. */
         std::deque<QueuedWrite> epochQueue;
         bool heartbeatActive = false;
-        /** Counter-ahead pad rings for the two counter streams. */
-        PadPrefetcher txPads;
-        PadPrefetcher rxPads;
 
         // --- Recovery / control-plane state -------------------------
         ChannelHealth health = ChannelHealth::Active;
@@ -275,9 +268,6 @@ class ObfusMemProcSide : public SimObject, public MemSink
     /** Enqueue one sealed frame (bus callback owns the delivery). */
     void deliverStaged(unsigned channel, WireMessage &&msg,
                        BurstBatch::Completion &&done);
-
-    /** Schedule zero-delay refills for a channel's depleted rings. */
-    void schedulePadRefill(unsigned channel);
 
     uint64_t dummyAddrFor(unsigned channel, uint64_t real_addr);
     uint16_t allocTag(ChannelState &cs);
@@ -347,7 +337,7 @@ class ObfusMemProcSide : public SimObject, public MemSink
     statistics::Scalar retransmits, framesDiscarded, resyncs;
     statistics::Scalar rekeysStarted, rekeysCompleted, quarantines;
     statistics::Scalar requestsDropped;
-    PadPrefetchStats padPrefetch;
+    statistics::Scalar retiredZero;
 };
 
 } // namespace obfusmem

@@ -12,6 +12,47 @@
 
 namespace obfusmem {
 
+void
+IvPadMemo::regStats(statistics::Group &g)
+{
+    g.addScalar("padMemoHits", &hitCount,
+                "memory-encryption pad sets reused from the memo");
+    g.addScalar("padMemoMisses", &missCount,
+                "memory-encryption pad sets computed");
+}
+
+size_t
+IvPadMemo::indexOf(const crypto::Block128 &iv)
+{
+    uint64_t h = crypto::loadLe64(iv.data()) * 0x9e3779b97f4a7c15ull
+                 ^ crypto::loadLe64(iv.data() + 8);
+    h ^= h >> 29;
+    return static_cast<size_t>(h) & (entries - 1);
+}
+
+bool
+IvPadMemo::lookup(const crypto::Block128 &iv, crypto::Block128 out[4])
+{
+    const Entry &e = table[indexOf(iv)];
+    if (!e.valid || e.iv != iv) {
+        ++missCount;
+        return false;
+    }
+    ++hitCount;
+    std::copy_n(e.pads.data(), 4, out);
+    return true;
+}
+
+void
+IvPadMemo::insert(const crypto::Block128 &iv,
+                  const crypto::Block128 pads[4])
+{
+    Entry &e = table[indexOf(iv)];
+    e.iv = iv;
+    std::copy_n(pads, 4, e.pads.data());
+    e.valid = true;
+}
+
 MemoryEncryptionEngine::MemoryEncryptionEngine(
     const std::string &name, EventQueue &eq, statistics::Group *parent,
     const EncryptionParams &params_, MemSink &inner_,
@@ -55,7 +96,6 @@ MemoryEncryptionEngine::MemoryEncryptionEngine(
                       "data blocks decrypted on the read path");
     stats().addScalar("forwardedReads", &forwardedReads,
                       "reads served from an in-flight write");
-    padMemo.configure(params.padMemoEntries);
     padMemo.regStats(stats());
 }
 

@@ -16,6 +16,8 @@
 #ifndef OBFUSMEM_SECURE_ENCRYPTION_ENGINE_HH
 #define OBFUSMEM_SECURE_ENCRYPTION_ENGINE_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -25,7 +27,6 @@
 #include "crypto/ctr_mode.hh"
 #include "mem/packet.hh"
 #include "secure/merkle.hh"
-#include "secure/pad_prefetcher.hh"
 #include "sim/inline_function.hh"
 #include "sim/sim_object.hh"
 #include "util/secret.hh"
@@ -70,15 +71,43 @@ struct EncryptionParams
     unsigned bmtCacheAssoc = 8;
 
     uint64_t pageBytes = 4096;
+};
 
-    /**
-     * IV-keyed pad memo entries (0 disables). Pads are pure functions
-     * of the block's IV, so the memo reuses AES work across repeated
-     * reads of a block between counter bumps without any visible
-     * effect on ciphertexts. Follows the pad-prefetch knob so
-     * OBFUSMEM_PAD_PREFETCH=0 yields a fully on-demand build.
-     */
-    unsigned padMemoEntries = defaultPadPrefetchDepth() ? 256u : 0u;
+/**
+ * A direct-mapped memo of memory-encryption pads, keyed by the base
+ * IV (page id, offset, major/minor counter - see MemoryEncryptionIv).
+ * The four sub-block pads are a pure function of that IV, so between
+ * counter bumps (i.e. between writes to a block) repeated reads reuse
+ * the AES work without any visible effect on ciphertexts.
+ */
+class IvPadMemo
+{
+  public:
+    /** Table size in entries (a power of two). */
+    static constexpr size_t entries = 256;
+
+    void regStats(statistics::Group &g);
+
+    /** Copy the memoized pads for `iv` into `out[4]` on a hit. */
+    bool lookup(const crypto::Block128 &iv,
+                OBF_SECRET crypto::Block128 out[4]);
+
+    /** Record freshly computed pads for `iv`. */
+    void insert(const crypto::Block128 &iv,
+                OBF_SECRET const crypto::Block128 pads[4]);
+
+  private:
+    struct Entry
+    {
+        crypto::Block128 iv{};
+        std::array<crypto::Block128, 4> pads{};
+        bool valid = false;
+    };
+
+    static size_t indexOf(const crypto::Block128 &iv);
+
+    std::array<Entry, entries> table{};
+    statistics::Scalar hitCount, missCount;
 };
 
 /**

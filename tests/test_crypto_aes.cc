@@ -222,7 +222,7 @@ TEST(Aes128, AesniEncryptBlocksAllTailShapes)
 
 TEST(Aes128, AesniGenPadsMatchesTtable)
 {
-    // The counter-mode pads the prefetch pipeline serves must be
+    // The counter-mode pads the wire endpoints consume must be
     // independent of the AES implementation behind them.
     if (!Aes128::aesniAvailable())
         GTEST_SKIP() << "AES-NI unavailable on this host/build";
@@ -361,7 +361,6 @@ implAvailable(AesImpl impl)
 {
     switch (impl) {
       case AesImpl::Aesni:
-      case AesImpl::Aesni4:
         return Aes128::aesniAvailable();
       case AesImpl::Vaes:
         return Aes128::vaesAvailable();
@@ -372,8 +371,7 @@ implAvailable(AesImpl impl)
 
 /** The lanes the SoA pipeline dispatches across, widest last. */
 constexpr AesImpl kAllImpls[] = {
-    AesImpl::Ttable, AesImpl::Reference, AesImpl::Aesni,
-    AesImpl::Aesni4, AesImpl::Vaes,
+    AesImpl::Ttable, AesImpl::Reference, AesImpl::Aesni, AesImpl::Vaes,
 };
 
 } // namespace
@@ -449,6 +447,6 @@ TEST(AesCtr, GenPadsCrossImplEquivalence)
 
 TEST(Aes128, WideImplNamesStable)
 {
-    EXPECT_STREQ(aesImplName(AesImpl::Aesni4), "aesni4");
+    EXPECT_STREQ(aesImplName(AesImpl::Aesni), "aesni");
     EXPECT_STREQ(aesImplName(AesImpl::Vaes), "vaes");
 }

@@ -416,146 +416,13 @@ TEST(ObfusMem, TimingObliviousFunctional)
     EXPECT_EQ(sys.functionalRead(0xb000), data);
 }
 
-// --- Counter-ahead pad prefetch (host-side optimization) ------------
-
-namespace {
-
-/** Records every field the wires expose, message by message. */
-struct WireRecorder : public BusProbe
+TEST(ObfusMem, CounterSkewDetected)
 {
-    struct Rec
-    {
-        Tick when;
-        BusDir dir;
-        uint32_t bytes;
-        uint64_t wireAddr;
-        bool wireIsWrite;
-        unsigned channel;
-
-        bool operator==(const Rec &) const = default;
-    };
-
-    std::vector<Rec> trace;
-
-    void
-    observe(const BusSnoop &s) override
-    {
-        trace.push_back({s.when, s.dir, s.bytes, s.wireAddr,
-                         s.wireIsWrite, s.channel});
-    }
-};
-
-struct RecordedRun
-{
-    std::vector<WireRecorder::Rec> trace;
-    /** At-rest ciphertext of hand-stored blocks (the payload bytes). */
-    std::vector<DataBlock> ciphertexts;
-    Tick execTicks;
-};
-
-/** The same workload under an explicit pad-prefetch depth. */
-RecordedRun
-recordedRun(unsigned prefetch_depth)
-{
+    // Staged group pads must not mask a desync: skewing the memory-
+    // side request counter drops that side's staging, and the
+    // processor's pads now decrypt the attacker-shifted stream to
+    // garbage.
     SystemConfig cfg = smallConfig(ProtectionMode::ObfusMemAuth);
-    cfg.obfusmem.padPrefetchDepth = prefetch_depth;
-    cfg.encryption.padMemoEntries = prefetch_depth ? 256 : 0;
-    System sys(cfg);
-    WireRecorder rec;
-    for (auto &bus : sys.channelBuses())
-        bus->attachProbe(&rec);
-
-    RecordedRun out;
-    out.execTicks = sys.run().execTicks;
-    for (uint8_t i = 0; i < 16; ++i) {
-        sys.timedStore(0, 0x30000 + i * 64ull, patternBlock(i),
-                       [](Tick) {});
-    }
-    sys.eventQueue().run();
-    sys.flushAndDrain();
-    for (uint8_t i = 0; i < 16; ++i)
-        out.ciphertexts.push_back(
-            sys.backingStore().read(0x30000 + i * 64ull));
-    out.trace = std::move(rec.trace);
-    return out;
-}
-
-} // namespace
-
-TEST(PadPrefetch, WireTrafficBitIdenticalOnVsOff)
-{
-    // The prefetcher only moves pad generation earlier in host time;
-    // pads are pure functions of (key, counter), so every message's
-    // timing, size, direction and ciphertext header bits must be
-    // byte-for-byte identical with the pipeline on and off — and so
-    // must the at-rest ciphertext (the payload bytes that crossed).
-    RecordedRun off = recordedRun(0);
-    RecordedRun on = recordedRun(8);
-
-    ASSERT_GT(off.trace.size(), 100u);
-    ASSERT_EQ(off.trace.size(), on.trace.size());
-    for (size_t i = 0; i < off.trace.size(); ++i) {
-        ASSERT_TRUE(off.trace[i] == on.trace[i])
-            << "wire message " << i << " differs (tick "
-            << off.trace[i].when << " vs " << on.trace[i].when << ")";
-    }
-    EXPECT_EQ(off.execTicks, on.execTicks);
-    EXPECT_EQ(off.ciphertexts, on.ciphertexts);
-}
-
-TEST(PadPrefetch, PrefetchedRunStaysFunctional)
-{
-    SystemConfig cfg = smallConfig(ProtectionMode::ObfusMemAuth);
-    cfg.obfusmem.padPrefetchDepth = 8;
-    System sys(cfg);
-    DataBlock data = patternBlock(0x55);
-    sys.timedStore(0, 0xc000, data, [](Tick) {});
-    sys.eventQueue().run();
-    sys.flushAndDrain();
-    EXPECT_EQ(sys.functionalRead(0xc000), data);
-
-    auto r = sys.run();
-    EXPECT_GT(r.instructions, 0u);
-    EXPECT_EQ(sys.memSides()[0]->desyncEvents(), 0u);
-    EXPECT_GT(sys.procSide()->stats().scalarValue("padPrefetchHits"),
-              0.0);
-}
-
-TEST(PadPrefetch, NullStatsPointerIsSafe)
-{
-    // The prefetcher is usable standalone (tools, future endpoints)
-    // without a stats block; every counter touch must be guarded.
-    crypto::Aes128::Key key{};
-    key[0] = 0x5a;
-    crypto::AesCtr ctr(key, 17);
-    PadPrefetcher ring;
-    ring.configure(ctr, countersPerRequestGroup, 4, nullptr);
-
-    GroupPads direct = genGroupPads(ctr, 0);
-    std::array<crypto::Block128, countersPerRequestGroup> out{};
-    ring.take(0, out.data());
-    EXPECT_EQ(std::memcmp(out.data(), direct.pad.data(),
-                          sizeof(out)),
-              0);
-    if (ring.shouldScheduleRefill())
-        ring.refill();
-    ring.take(countersPerRequestGroup, out.data()); // ring hit
-    ring.invalidate();
-    ring.take(5 * countersPerRequestGroup, out.data()); // cold miss
-    GroupPads direct2 = genGroupPads(ctr, 5 * countersPerRequestGroup);
-    EXPECT_EQ(std::memcmp(out.data(), direct2.pad.data(),
-                          sizeof(out)),
-              0);
-}
-
-TEST(PadPrefetch, CounterSkewStillDetectedWithPrefetchOn)
-{
-    // The prefetch ring must not mask a desync: skewing the memory-
-    // side request counter invalidates staged pads on that side, and
-    // the processor's (prefetched) pads now decrypt the attacker-
-    // shifted stream to garbage exactly as before.
-    SystemConfig cfg = smallConfig(ProtectionMode::ObfusMemAuth);
-    cfg.obfusmem.padPrefetchDepth = 8;
     cfg.obfusmem.recovery.enabled = false; // pin fail-stop semantics
     System sys(cfg);
     DataBlock data = patternBlock(2);
@@ -573,10 +440,9 @@ TEST(PadPrefetch, CounterSkewStillDetectedWithPrefetchOn)
               1u);
 }
 
-TEST(PadPrefetch, ReplySkewStillDetectedWithPrefetchOn)
+TEST(ObfusMem, ReplySkewDetected)
 {
     SystemConfig cfg = smallConfig(ProtectionMode::ObfusMemAuth);
-    cfg.obfusmem.padPrefetchDepth = 8;
     cfg.obfusmem.recovery.enabled = false; // pin fail-stop semantics
     System sys(cfg);
     sys.procSide()->skewResponseCounter(0, 5);
@@ -589,13 +455,11 @@ TEST(PadPrefetch, ReplySkewStillDetectedWithPrefetchOn)
               1u);
 }
 
-TEST(PadPrefetch, AuditorStaysCleanWithPrefetchOn)
+TEST(ObfusMem, AuditorStaysClean)
 {
     // The trace auditor checks the paper's obliviousness invariants
-    // from the attacker's vantage point; the prefetch pipeline must
-    // be invisible to it.
+    // from the attacker's vantage point; a full run must pass them.
     SystemConfig cfg = smallConfig(ProtectionMode::ObfusMemAuth);
-    cfg.obfusmem.padPrefetchDepth = 8;
     cfg.attachAuditor = true;
     System sys(cfg);
     sys.run();
@@ -604,10 +468,9 @@ TEST(PadPrefetch, AuditorStaysCleanWithPrefetchOn)
     EXPECT_EQ(sys.auditor()->totalViolations(), 0u);
 }
 
-TEST(PadPrefetch, AuditorStillFlagsTamperWithPrefetchOn)
+TEST(ObfusMem, AuditorFlagsCounterSkew)
 {
     SystemConfig cfg = smallConfig(ProtectionMode::ObfusMemAuth);
-    cfg.obfusmem.padPrefetchDepth = 8;
     cfg.attachAuditor = true;
     System sys(cfg);
     DataBlock data = patternBlock(3);

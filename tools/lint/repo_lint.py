@@ -32,13 +32,12 @@ know about:
   aes-dispatch    a direct Aes128 object, or a raw MD5 lane-kernel
                   call, in src/ outside src/crypto/: raw block-cipher
                   use bypasses the runtime AES implementation dispatch
-                  (vaes/aesni4/aesni/ttable/reference) and the
-                  counter-mode pad plumbing that the prefetch pipeline
-                  and the trace auditor's pad ledgers hang off, and a
-                  direct md5Lanes*Compress* call skips the latched
-                  width dispatch. Consume AesCtr / PadPrefetcher /
-                  IvPadMemo / md5ShortBatch instead; nested types
-                  (Aes128::Key) stay fine.
+                  (vaes/aesni/ttable/reference) and the counter-mode
+                  pad plumbing that the wire endpoints and the trace
+                  auditor's pad ledgers hang off, and a direct
+                  md5Lanes*Compress* call skips the latched width
+                  dispatch. Consume AesCtr / md5ShortBatch instead;
+                  nested types (Aes128::Key) stay fine.
   wire-shape      an assignment to a WireMessage field (cipherHeader,
                   hasData, cipherData, hasMac, mac) in src/ outside
                   src/obfusmem/wire_format.*: every frame on the
@@ -237,7 +236,7 @@ def lint_aes_dispatch(rel, lines):
         if AES_DIRECT_RE.search(line):
             yield no, "aes-dispatch", \
                 "direct Aes128 use outside src/crypto/ bypasses the " \
-                "runtime AES dispatch and pad-prefetch plumbing; go " \
+                "runtime AES dispatch and counter-mode pad plumbing; go " \
                 "through crypto::AesCtr (nested types like " \
                 "Aes128::Key are fine)"
         if LANE_KERNEL_RE.search(line):
@@ -332,7 +331,7 @@ SELF_TEST_CASES = [
      "    scheduleAfter(t, [cb, resp = pkt]() mutable "
      "{ cb(std::move(resp)); });\n",
      "packet-capture"),
-    # The pre-prefetch EncryptionEngine held the block cipher raw.
+    # An early EncryptionEngine held the block cipher raw.
     ("src/secure/encryption_engine.hh",
      "    crypto::Aes128 aes;\n",
      "aes-dispatch"),
