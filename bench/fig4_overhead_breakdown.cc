@@ -21,14 +21,12 @@ using namespace obfusmem::bench;
 
 namespace {
 
-/** "aes=<impl>,batch=<0|1>": host crypto config. */
+/** "aes=<impl>": host crypto config. */
 std::string
 hostCryptoConfig()
 {
     return std::string("aes=") +
-           crypto::aesImplName(crypto::Aes128::defaultImpl()) +
-           ",batch=" +
-           (env::u64("OBFUSMEM_BURST_BATCH", 1) != 0 ? "1" : "0");
+           crypto::aesImplName(crypto::Aes128::defaultImpl());
 }
 
 } // namespace
@@ -90,10 +88,10 @@ main()
     std::printf("%-12s %12.1f %12.1f %14.1f   (paper)\n", "", 2.2,
                 8.3, 10.9);
 
-    // Summary row tagged with the host crypto config so A/B runs
-    // (OBFUSMEM_AES_IMPL / OBFUSMEM_BURST_BATCH) can be compared by
-    // total host wall time in BENCH_PR4.json. Simulated ticks are
-    // identical across configs by construction.
+    // Summary row tagged with the host crypto config so
+    // OBFUSMEM_AES_IMPL A/B runs can be compared by total host wall
+    // time. Simulated ticks are identical across AES impls by
+    // construction.
     double totalWallMs = 0;
     for (const RunOutcome &out : outcomes)
         totalWallMs += out.wallMs;

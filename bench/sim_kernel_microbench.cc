@@ -1,23 +1,22 @@
 /**
  * @file
  * Microbenchmark of the discrete-event kernel: events/second and
- * allocations/event for the timing-wheel and binary-heap queue
- * implementations (`EvqImpl::Wheel` vs `EvqImpl::Heap`, the
- * `OBFUSMEM_EVQ_IMPL` knob), plus a counting-allocator proof that the
- * steady state never touches the global allocator.
+ * allocations/event for the timing-wheel event queue, plus a
+ * counting-allocator proof that the steady state never touches the
+ * global allocator.
  *
  * Workloads (all self-rescheduling, so the pending population is
  * constant and the pool reaches steady state):
  *  - schedule-heavy: 64k actors with pseudo-random short delays —
- *    the acceptance workload (wheel must beat heap by >= 3x, and
- *    allocations/event must be exactly 0; nonzero exits 1).
+ *    the acceptance workload (allocations/event must be exactly 0;
+ *    nonzero exits 1).
  *  - same-tick-burst: all actors collide on the same ticks — stresses
  *    the FIFO bucket chain.
  *  - far-mix: 1/8 of delays land beyond the wheel horizon — stresses
  *    the overflow heap and promotion path.
  *
  * Knobs: OBFUSMEM_QUICK=1 shrinks the event counts (CI/sanitizers);
- * OBFUSMEM_BENCH_JSON appends one JSONL row per (impl, workload) with
+ * OBFUSMEM_BENCH_JSON appends one JSONL row per workload with
  * ticks = events executed and overhead_pct = allocations/event.
  */
 
@@ -123,7 +122,6 @@ struct Actor
 
 struct Row
 {
-    const char *impl;
     const char *workload;
     uint64_t events;
     double mevPerSec;
@@ -133,10 +131,10 @@ struct Row
 };
 
 Row
-measure(EvqImpl impl, const char *implName, Workload wl,
-        const char *wlName, uint64_t population, uint64_t events)
+measure(Workload wl, const char *wlName, uint64_t population,
+        uint64_t events)
 {
-    EventQueue eq(impl);
+    EventQueue eq;
     for (uint64_t i = 0; i < population; ++i)
         eq.schedule(i & 63, Actor{&eq, 0x9e3779b97f4a7c15ULL + i, wl});
 
@@ -154,7 +152,6 @@ measure(EvqImpl impl, const char *implName, Workload wl,
 
     const double secs = std::chrono::duration<double>(t1 - t0).count();
     Row row;
-    row.impl = implName;
     row.workload = wlName;
     row.events = events;
     row.mevPerSec = static_cast<double>(events) / secs / 1e6;
@@ -178,9 +175,9 @@ main()
     std::printf("(measured events/row: %llu; OBFUSMEM_QUICK=1 "
                 "shrinks)\n\n",
                 static_cast<unsigned long long>(events));
-    std::printf("%-6s %-16s %12s %10s %14s %12s %10s\n", "impl",
-                "workload", "events", "Mev/s", "allocs/event",
-                "promotions", "highwater");
+    std::printf("%-16s %12s %10s %14s %12s %10s\n", "workload",
+                "events", "Mev/s", "allocs/event", "promotions",
+                "highwater");
 
     struct WlDef
     {
@@ -188,51 +185,29 @@ main()
         const char *name;
         uint64_t population;
     };
-    // schedule-heavy runs a large standing population: that is where
-    // the heap pays O(log n) sifts over a multi-MB array while the
-    // wheel stays O(1).
+    // schedule-heavy runs a large standing population, which the
+    // wheel still serves in O(1) per event.
     const WlDef workloads[] = {
         {Workload::ScheduleHeavy, "schedule-heavy", 64 * 1024},
         {Workload::SameTickBurst, "same-tick-burst", 8 * 1024},
         {Workload::FarMix, "far-mix", 8 * 1024},
     };
-    struct ImplDef
-    {
-        EvqImpl impl;
-        const char *name;
-    };
-    const ImplDef impls[] = {
-        {EvqImpl::Wheel, "wheel"},
-        {EvqImpl::Heap, "heap"},
-    };
-
-    double scheduleHeavyRate[2] = {0, 0};
     bool steadyStateClean = true;
 
     for (const auto &w : workloads) {
-        for (size_t i = 0; i < 2; ++i) {
-            Row row = measure(impls[i].impl, impls[i].name, w.wl,
-                              w.name, w.population, events);
-            std::printf("%-6s %-16s %12llu %10.2f %14.6f %12llu %10zu\n",
-                        row.impl, row.workload,
-                        static_cast<unsigned long long>(row.events),
-                        row.mevPerSec, row.allocsPerEvent,
-                        static_cast<unsigned long long>(row.promotions),
-                        row.poolHighWater);
-            bench::jsonRow("sim_kernel_microbench", row.impl,
-                           row.workload, row.events,
-                           row.allocsPerEvent,
-                           row.events / row.mevPerSec / 1e3);
-            if (w.wl == Workload::ScheduleHeavy) {
-                scheduleHeavyRate[i] = row.mevPerSec;
-                if (row.allocsPerEvent != 0.0)
-                    steadyStateClean = false;
-            }
-        }
+        Row row = measure(w.wl, w.name, w.population, events);
+        std::printf("%-16s %12llu %10.2f %14.6f %12llu %10zu\n",
+                    row.workload,
+                    static_cast<unsigned long long>(row.events),
+                    row.mevPerSec, row.allocsPerEvent,
+                    static_cast<unsigned long long>(row.promotions),
+                    row.poolHighWater);
+        bench::jsonRow("sim_kernel_microbench", "wheel", row.workload,
+                       row.events, row.allocsPerEvent,
+                       row.events / row.mevPerSec / 1e3);
+        if (w.wl == Workload::ScheduleHeavy && row.allocsPerEvent != 0.0)
+            steadyStateClean = false;
     }
-
-    std::printf("\nwheel speedup on schedule-heavy: %.2fx\n",
-                scheduleHeavyRate[0] / scheduleHeavyRate[1]);
 
     if (!steadyStateClean) {
         std::fprintf(stderr,

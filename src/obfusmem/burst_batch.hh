@@ -11,7 +11,7 @@
  * pipeline in stage-wise passes:
  *
  *   stage:  per-frame protocol work that must stay in program order
- *           (counter advance, pad-ring takes, audit onPadUse probes,
+ *           (counter advance, pad generation, audit onPadUse probes,
  *           pending-table bookkeeping, junk draws) plus pushing the
  *           frame's fields into the SoA lanes (FrameBatch) and its
  *           delivery context into the parallel lanes here.
@@ -24,12 +24,10 @@
  * ticks after serialization + propagation), moving the sends of one
  * synchronous call chain to its end — same tick, same relative order —
  * produces bit-identical bus traffic, snoop traces and fault draws.
- * The OBFUSMEM_BURST_BATCH=0 escape hatch forces a flush after every
- * stage, reproducing the legacy per-message order exactly; CI diffs
- * the wire traces of both modes to enforce the equivalence.
  *
- * Flushing happens when the outermost Scope closes (a depth counter
- * handles nesting, e.g. dispatch -> maybeDrainWrites -> sendGroup).
+ * Every stage happens inside a Scope; flushing happens when the
+ * outermost Scope closes (a depth counter handles nesting, e.g.
+ * dispatch -> maybeDrainWrites -> sendGroup).
  * The owner decides *how* to deliver by passing a callable to
  * flushWith — a template hop, not a std::function, so the per-frame
  * delivery is statically dispatched.
@@ -44,7 +42,7 @@
 
 #include "obfusmem/mac_engine.hh"
 #include "obfusmem/wire_format.hh"
-#include "util/env.hh"
+#include "util/assert.hh"
 #include "util/secret.hh"
 
 namespace obfusmem {
@@ -64,18 +62,12 @@ class BurstBatch
         PacketCallback cb;
     };
 
-    BurstBatch()
-        : deferEnabled(env::u64("OBFUSMEM_BURST_BATCH", 1) != 0)
-    {}
-
-    /** True while an open Scope defers flushing to its close. */
-    bool deferred() const { return deferEnabled && depth > 0; }
-
     /** Stage a header-only frame bound for `channel`. */
     void
     stageHeader(unsigned channel, const crypto::Block128 &hdr_pad,
                 const WireHeader &hdr, uint64_t mac_ctr)
     {
+        OBF_DCHECK(depth > 0, "frame staged outside a burst scope");
         frames.stageHeaderFrame(hdr_pad, hdr, mac_ctr);
         channels.push_back(channel);
         completions.emplace_back();
@@ -88,6 +80,7 @@ class BurstBatch
               const WireHeader &hdr, const DataBlock &payload,
               uint64_t mac_ctr)
     {
+        OBF_DCHECK(depth > 0, "frame staged outside a burst scope");
         frames.stageDataFrame(hdr_pad, payload_pads, hdr, payload,
                               mac_ctr);
         channels.push_back(channel);
@@ -101,6 +94,7 @@ class BurstBatch
               const WireHeader &hdr, const DataBlock &payload,
               uint64_t mac_ctr, MemPacket pkt, PacketCallback cb)
     {
+        OBF_DCHECK(depth > 0, "frame staged outside a burst scope");
         frames.stageDataFrame(hdr_pad, payload_pads, hdr, payload,
                               mac_ctr);
         channels.push_back(channel);
@@ -171,7 +165,6 @@ class BurstBatch
     OBF_SECRET std::vector<crypto::Md5Digest> macs;
     std::vector<WireMessage> msgs;
     unsigned depth = 0;
-    const bool deferEnabled;
 };
 
 /** Deduce the flush-thunk type (pre-C++17-CTAD-style helper). */

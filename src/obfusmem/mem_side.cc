@@ -251,6 +251,9 @@ void
 ObfusMemMemSide::sendReadReply(const WireHeader &req_hdr,
                                const DataBlock &data)
 {
+    // Each reply is a burst of one: a request yields exactly one
+    // reply, from its own event (PCM completion or dummy answer).
+    auto scope = burstScope(replyBurst, [this] { flushReplyBurst(); });
     uint64_t ctr = respCounter;
     OBF_DCHECK(ctr <= UINT64_MAX - countersPerReply,
                "response counter exhausted on channel ", channel);
@@ -271,8 +274,6 @@ ObfusMemMemSide::sendReadReply(const WireHeader &req_hdr,
     padsUsed += 5;
     replyBurst.stageData(channel, pads.header(), pads.payload(), hdr,
                          data, ctr);
-    if (!replyBurst.deferred())
-        flushReplyBurst();
 }
 
 void
@@ -509,8 +510,6 @@ ObfusMemMemSide::sendHandshakeResponse()
         hdr.dummy = true;
         replyBurst.stageData(channel, pads.header(), pads.payload(),
                              hdr, payload, ctr);
-        if (!replyBurst.deferred())
-            flushReplyBurst();
     }
 }
 

@@ -344,8 +344,6 @@ ObfusMemProcSide::sendGroup(unsigned channel, MemPacket pkt,
                             payload, ctr, std::move(pkt),
                             std::move(cb));
         }
-        if (!burst.deferred())
-            flushBurst();
         ensureWatchdog(channel);
         return;
     }
@@ -367,8 +365,6 @@ ObfusMemProcSide::sendGroup(unsigned channel, MemPacket pkt,
         ++cs.outstandingReads;
 
         burst.stageHeader(channel, pads.pad[0], hdr, ctr);
-        if (!burst.deferred())
-            flushBurst();
 
         // Message 2: the paired write. When writes are piling up, a
         // real one substitutes for the dummy - same wire pattern, no
@@ -392,8 +388,6 @@ ObfusMemProcSide::sendGroup(unsigned channel, MemPacket pkt,
             burst.stageData(channel, pads.pad[1], &pads.pad[2], whdr,
                             payload, ctr + 1, std::move(qw.pkt),
                             std::move(qw.cb));
-            if (!burst.deferred())
-                flushBurst();
             ensureWatchdog(channel);
             return;
         }
@@ -411,8 +405,6 @@ ObfusMemProcSide::sendGroup(unsigned channel, MemPacket pkt,
         }
         burst.stageData(channel, pads.pad[1], &pads.pad[2], dummy_hdr,
                         junk, ctr + 1);
-        if (!burst.deferred())
-            flushBurst();
         ensureWatchdog(channel);
         return;
     }
@@ -443,8 +435,6 @@ ObfusMemProcSide::sendGroup(unsigned channel, MemPacket pkt,
     }
 
     burst.stageHeader(channel, pads.pad[0], dummy_hdr, ctr);
-    if (!burst.deferred())
-        flushBurst();
 
     // Second encryption on top of the memory-encryption ciphertext:
     // hides temporal reuse of unmodified data (Observation 1). The
@@ -453,8 +443,6 @@ ObfusMemProcSide::sendGroup(unsigned channel, MemPacket pkt,
     DataBlock payload = pkt.data;
     burst.stageData(channel, pads.pad[1], &pads.pad[2], hdr, payload,
                     ctr + 1, std::move(pkt), std::move(cb));
-    if (!burst.deferred())
-        flushBurst();
     ensureWatchdog(channel);
 }
 
@@ -500,8 +488,6 @@ ObfusMemProcSide::sendDummyGroup(unsigned channel)
         }
         burst.stageData(channel, pads.pad[0], &pads.pad[2], rd, junk,
                         ctr);
-        if (!burst.deferred())
-            flushBurst();
         ensureWatchdog(channel);
         return;
     }
@@ -519,8 +505,6 @@ ObfusMemProcSide::sendDummyGroup(unsigned channel)
     wr.dummy = true;
 
     burst.stageHeader(channel, pads.pad[0], rd, ctr);
-    if (!burst.deferred())
-        flushBurst();
 
     DataBlock junk;
     junkRng.fillBytes(junk.data(), junk.size());
@@ -534,8 +518,6 @@ ObfusMemProcSide::sendDummyGroup(unsigned channel)
     }
     burst.stageData(channel, pads.pad[1], &pads.pad[2], wr, junk,
                     ctr + 1);
-    if (!burst.deferred())
-        flushBurst();
     ensureWatchdog(channel);
 }
 
@@ -578,7 +560,7 @@ ObfusMemProcSide::flushBurst()
     // pass, then the bus enqueues in stage order. Enqueue order is all
     // the bus observes of us within a tick (serialization happens on
     // later ticks), so the wire trace is bit-identical to per-message
-    // flushing — CI diffs OBFUSMEM_BURST_BATCH=0/1 to hold us to that.
+    // flushing.
     burst.flushWith(mac, params.auth,
         [this](unsigned channel, WireMessage &&msg,
                BurstBatch::Completion &&done) {
@@ -807,18 +789,12 @@ ObfusMemProcSide::retransmitGroup(unsigned channel, uint16_t tag)
     if (params.uniformPackets) {
         burst.stageData(channel, pads.pad[0], &pads.pad[2], p.rbFirst,
                         p.rbPayload, ctr);
-        if (!burst.deferred())
-            flushBurst();
         return;
     }
 
     burst.stageHeader(channel, pads.pad[0], p.rbFirst, ctr);
-    if (!burst.deferred())
-        flushBurst();
     burst.stageData(channel, pads.pad[1], &pads.pad[2], p.rbSecond,
                     p.rbPayload, ctr + 1);
-    if (!burst.deferred())
-        flushBurst();
 }
 
 void
@@ -900,8 +876,6 @@ ObfusMemProcSide::sendControlGroup(unsigned channel,
         hdr.dummy = true;
         burst.stageData(channel, pads.pad[0], &pads.pad[2], hdr,
                         payload, ctr);
-        if (!burst.deferred())
-            flushBurst();
         return;
     }
 
@@ -915,12 +889,8 @@ ObfusMemProcSide::sendControlGroup(unsigned channel,
     wr.dummy = true;
 
     burst.stageHeader(channel, pads.pad[0], rd, ctr);
-    if (!burst.deferred())
-        flushBurst();
     burst.stageData(channel, pads.pad[1], &pads.pad[2], wr, payload,
                     ctr + 1);
-    if (!burst.deferred())
-        flushBurst();
 }
 
 void

@@ -9,30 +9,14 @@
 #include <bit>
 
 #include "util/assert.hh"
-#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace obfusmem {
 
-EvqImpl
-EventQueue::defaultImpl()
-{
-    static const EvqImpl choice =
-        env::choice("OBFUSMEM_EVQ_IMPL", {"wheel", "heap"}, 0) == 1
-            ? EvqImpl::Heap
-            : EvqImpl::Wheel;
-    return choice;
-}
-
-EventQueue::EventQueue(EvqImpl impl) : implChoice(impl)
-{
-    if (implChoice == EvqImpl::Wheel) {
-        bucketHead.assign(wheelSlots, nilIdx);
-        bucketTail.assign(wheelSlots, nilIdx);
-        bitsL0.assign(wheelSlots / 64, 0);
-        bitsL1.assign(wheelSlots / (64 * 64), 0);
-    }
-}
+EventQueue::EventQueue()
+    : bucketHead(wheelSlots, nilIdx), bucketTail(wheelSlots, nilIdx),
+      bitsL0(wheelSlots / 64, 0), bitsL1(wheelSlots / (64 * 64), 0)
+{}
 
 uint32_t
 EventQueue::allocNode()
@@ -175,7 +159,7 @@ EventQueue::schedule(Tick when, Callback cb)
     n.cb = std::move(cb);
     ++pending;
     // `when - now` can't underflow: the past-scheduling panic above.
-    if (implChoice == EvqImpl::Wheel && when - now < wheelSpan)
+    if (when - now < wheelSpan)
         wheelInsert(idx);
     else
         far.push({when, n.seq, idx});
@@ -188,7 +172,7 @@ EventQueue::step(Tick limit)
         return false;
 
     Tick when;
-    if (implChoice == EvqImpl::Wheel && wheelCount > 0) {
+    if (wheelCount > 0) {
         when = nextWheelTick();
         // The window slid since the far events were scheduled; one of
         // them may now be the earliest pending tick.
@@ -201,14 +185,9 @@ EventQueue::step(Tick limit)
         return false;
     now = when;
 
-    uint32_t idx;
-    if (implChoice == EvqImpl::Wheel) {
-        promoteFar();
-        idx = popBucket(static_cast<size_t>(now) & (wheelSlots - 1));
-    } else {
-        idx = far.top().idx;
-        far.pop();
-    }
+    promoteFar();
+    const uint32_t idx =
+        popBucket(static_cast<size_t>(now) & (wheelSlots - 1));
 
     // Move the callback out and recycle the node *before* invoking:
     // the capture is destroyed promptly (when `cb` leaves scope) and

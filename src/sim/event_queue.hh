@@ -8,11 +8,8 @@
  * capture stored inline in the node (InlineCallback), and ordering is
  * maintained by a timing wheel — a 2^16-slot bucket array covering the
  * near future in O(1) per event — backed by a binary min-heap overflow
- * tier for events beyond the wheel horizon. A runtime knob
- * (`OBFUSMEM_EVQ_IMPL=heap|wheel`, mirroring `OBFUSMEM_AES_IMPL`)
- * routes everything through the heap tier instead, as an A/B
- * cross-check; both implementations execute events in the exact same
- * (when, seq) order, so all simulation results are bit-identical.
+ * tier for events beyond the wheel horizon. Events execute in
+ * strictly increasing (when, seq) order, seq being schedule order.
  */
 
 #ifndef OBFUSMEM_SIM_EVENT_QUEUE_HH
@@ -29,12 +26,6 @@
 #include "util/stats.hh"
 
 namespace obfusmem {
-
-/** Which ordering structure backs the event queue. */
-enum class EvqImpl : uint8_t {
-    Wheel, ///< timing wheel + overflow heap (default)
-    Heap,  ///< binary heap only (cross-check / A-B baseline)
-};
 
 /**
  * Central event queue. All timing behaviour in the simulator is
@@ -54,17 +45,7 @@ class EventQueue
 
     using Callback = InlineCallback<callbackCapacity>;
 
-    EventQueue() : EventQueue(defaultImpl()) {}
-    explicit EventQueue(EvqImpl impl);
-
-    /**
-     * Implementation selected by `OBFUSMEM_EVQ_IMPL` (`heap` or
-     * `wheel`; anything else, including unset, means wheel). Read
-     * once at first use.
-     */
-    static EvqImpl defaultImpl();
-
-    EvqImpl impl() const { return implChoice; }
+    EventQueue();
 
     /** Current simulated time. */
     Tick curTick() const { return now; }
@@ -189,7 +170,7 @@ class EventQueue
     size_t liveNodes = 0;
     size_t highWater = 0;
 
-    // --- timing wheel (allocated only in Wheel mode) ---------------
+    // --- timing wheel ----------------------------------------------
     // The window is anchored to `now`: the wheel holds exactly the
     // events with when in [now, now+span); farther events wait in the
     // overflow heap and are promoted at the top of each step as the
@@ -202,10 +183,9 @@ class EventQueue
     std::vector<uint64_t> bitsL1; ///< one bit per bitsL0 word
     size_t wheelCount = 0;
 
-    // --- overflow / heap tier --------------------------------------
+    // --- overflow tier ---------------------------------------------
     std::priority_queue<FarEvent, std::vector<FarEvent>, FarLater> far;
 
-    EvqImpl implChoice;
     Tick now = 0;
     uint64_t nextSeq = 0;
     size_t pending = 0;

@@ -17,7 +17,6 @@
 #include "obfusmem/params.hh"
 #include "oram/oram_controller.hh"
 #include "secure/encryption_engine.hh"
-#include "sim/event_queue.hh"
 
 namespace obfusmem {
 
@@ -93,14 +92,6 @@ struct SystemConfig
     OramDetailed::Params oramDetailed{};
     FlatOramController::Params flatOram{};
     WriteOnlyOramController::Params writeOnlyOram{};
-
-    /**
-     * Event-queue implementation for this system's kernel. Defaults
-     * to the process-wide OBFUSMEM_EVQ_IMPL latch; the conformance
-     * suite overrides it to cross-check wheel vs heap traces within
-     * one process.
-     */
-    EvqImpl evqImpl = EventQueue::defaultImpl();
 
     /**
      * Build the trace cores and warm the caches. The datacenter

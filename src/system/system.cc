@@ -32,7 +32,7 @@ kdfChannelKey(uint64_t seed, unsigned channel)
 } // namespace
 
 System::System(const SystemConfig &config)
-    : cfg(config), eq(config.evqImpl), root("system", nullptr)
+    : cfg(config), root("system", nullptr)
 {
     // `eq` is declared before `root`, so its stats group attaches here
     // rather than from an init-list.

@@ -5,8 +5,7 @@
  * against a reference flat store under randomized traffic, (b) keep
  * its structural invariants, (c) checkpoint/restore through the
  * serialize vtable half, and (d) produce bit-identical wire traces
- * whether the bench runner uses 1 or 4 worker threads and whichever
- * event-queue backend is configured.
+ * whether the bench runner uses 1 or 4 worker threads.
  *
  * A CI backend-matrix leg can narrow the parameterized sweep to one
  * backend by setting OBFUSMEM_BACKEND; the other parameterizations
@@ -239,21 +238,6 @@ TEST_P(BackendConformance, SerializeRestoreRoundTrip)
     std::stringstream snap2;
     a.serializeBackend(snap2);
     EXPECT_FALSE(c.restoreBackend(snap2));
-}
-
-TEST_P(BackendConformance, WireTraceIdenticalAcrossEvqBackends)
-{
-    SystemConfig cfg = smallConfig(GetParam());
-    if (!backendInfo(cfg.mode).needsBuses)
-        GTEST_SKIP() << "backend models latency without buses";
-
-    cfg.evqImpl = EvqImpl::Wheel;
-    std::string wheel = traceOfFixedSequence(cfg);
-    cfg.evqImpl = EvqImpl::Heap;
-    std::string heap = traceOfFixedSequence(cfg);
-
-    EXPECT_FALSE(wheel.empty());
-    EXPECT_EQ(wheel, heap);
 }
 
 TEST_P(BackendConformance, WireTraceIdenticalAcrossBenchJobs)

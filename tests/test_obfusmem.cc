@@ -97,6 +97,39 @@ TEST(ObfusMem, EveryAccessLooksLikeReadThenWrite)
     EXPECT_LT(obs->typeImbalance(), 1e-9);
 }
 
+// Every request group carries exactly one read (real or dummy), and
+// the memory side answers each read with exactly one reply frame:
+// ObfusMemMemSide::sendReadReply is a burst of one, flushed as it
+// closes, so replies are neither lost nor held back.
+TEST(ObfusMem, OneReplyOnTheBusPerRequestGroup)
+{
+    struct DirCounter : BusProbe
+    {
+        uint64_t toMemory = 0;
+        uint64_t toProcessor = 0;
+        void
+        observe(const BusSnoop &snoop) override
+        {
+            ++(snoop.dir == BusDir::ToMemory ? toMemory : toProcessor);
+        }
+    };
+    System sys(smallConfig(ProtectionMode::ObfusMemAuth));
+    DirCounter probe;
+    for (auto &bus : sys.channelBuses())
+        bus->attachProbe(&probe);
+    sys.run();
+
+    auto &ps = *sys.procSide();
+    const double groups = ps.stats().scalarValue("realReads")
+                          + ps.stats().scalarValue("realWrites")
+                          + ps.stats().scalarValue("channelFillGroups");
+    ASSERT_GT(groups, 100.0);
+    EXPECT_EQ(ps.stats().scalarValue("retransmits"), 0.0);
+    // Split scheme: a header-only read plus a data write per group.
+    EXPECT_EQ(static_cast<double>(probe.toMemory), 2 * groups);
+    EXPECT_EQ(static_cast<double>(probe.toProcessor), groups);
+}
+
 TEST(ObfusMem, UnprotectedBusLeaksRequestTypes)
 {
     System sys(smallConfig(ProtectionMode::Unprotected));

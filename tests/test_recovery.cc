@@ -3,8 +3,7 @@
  * Channel fault-tolerance tests: the seeded fault injector, the
  * bounded-retry/resync/re-key recovery ladder on the ObfusMem
  * channel, quarantine escalation, and the wire-invisibility of the
- * recovery layer on a faultless run. Registered twice in CTest, once
- * per OBFUSMEM_EVQ_IMPL backend.
+ * recovery layer on a faultless run.
  */
 
 #include <gtest/gtest.h>

@@ -4,10 +4,10 @@
  * simulated results are bit-identical at OBFUSMEM_SIM_SHARDS=1 and N
  * — the synthetic-workload tests compare full execution logs across
  * shard counts, the topology tests compare wire traces and stats
- * dumps of a small multi-tenant rack. Ordering tests run against both
- * event-queue backends, including events that land exactly at and one
- * tick past the lookahead horizon (where the timing wheel's overflow
- * heap takes over, since the horizon sits beyond the wheel span).
+ * dumps of a small multi-tenant rack. Ordering tests include events
+ * that land exactly at and one tick past the lookahead horizon (where
+ * the timing wheel's overflow heap takes over, since the horizon sits
+ * beyond the wheel span).
  */
 
 #include <gtest/gtest.h>
@@ -23,12 +23,6 @@
 using namespace obfusmem;
 
 namespace {
-
-std::string
-implName(const ::testing::TestParamInfo<EvqImpl> &info)
-{
-    return info.param == EvqImpl::Wheel ? "wheel" : "heap";
-}
 
 /**
  * Synthetic cross-endpoint workload: chains of events hopping around
@@ -47,13 +41,13 @@ struct RingWorkload
     int maxHops;
 
     RingWorkload(unsigned shards, unsigned endpoints_, Tick lookahead_,
-                 int max_hops, EvqImpl impl)
+                 int max_hops)
         : kernel({shards, lookahead_}), logs(endpoints_),
           endpoints(endpoints_), lookahead(lookahead_),
           maxHops(max_hops)
     {
         for (unsigned e = 0; e < endpoints; ++e) {
-            queues.push_back(std::make_unique<EventQueue>(impl));
+            queues.push_back(std::make_unique<EventQueue>());
             kernel.addEndpoint(*queues.back());
         }
     }
@@ -84,24 +78,15 @@ struct RingWorkload
     }
 };
 
-class ShardedKernelImplTest : public ::testing::TestWithParam<EvqImpl>
-{
-};
-
 } // namespace
 
-INSTANTIATE_TEST_SUITE_P(Impls, ShardedKernelImplTest,
-                         ::testing::Values(EvqImpl::Wheel,
-                                           EvqImpl::Heap),
-                         implName);
-
-TEST_P(ShardedKernelImplTest, ShardCountNeverChangesResults)
+TEST(ShardedKernelTest, ShardCountNeverChangesResults)
 {
     const Tick lookahead = 5000;
     std::vector<std::vector<std::pair<Tick, uint64_t>>> ref_logs;
     ShardedKernel::RunSummary ref{};
     for (unsigned shards : {1u, 2u, 3u, 6u}) {
-        RingWorkload w(shards, 6, lookahead, 25, GetParam());
+        RingWorkload w(shards, 6, lookahead, 25);
         ShardedKernel::RunSummary sum = w.run();
         if (shards == 1) {
             ref_logs = w.logs;
@@ -118,7 +103,7 @@ TEST_P(ShardedKernelImplTest, ShardCountNeverChangesResults)
 
 TEST(ShardedKernelTest, ShardsClampToEndpointCount)
 {
-    RingWorkload w(16, 3, 1000, 2, EvqImpl::Wheel);
+    RingWorkload w(16, 3, 1000, 2);
     w.run();
     EXPECT_EQ(w.kernel.shards(), 3u);
     EXPECT_EQ(w.kernel.endpoints(), 3u);
@@ -126,7 +111,7 @@ TEST(ShardedKernelTest, ShardsClampToEndpointCount)
 
 TEST(ShardedKernelTest, SummaryCountsAreConsistent)
 {
-    RingWorkload w(2, 4, 2000, 10, EvqImpl::Wheel);
+    RingWorkload w(2, 4, 2000, 10);
     ShardedKernel::RunSummary sum = w.run();
     // 4 chains x (1 seed event + 10 posted hops).
     EXPECT_EQ(sum.eventsExecuted, 4u * 11u);
@@ -145,7 +130,7 @@ TEST(ShardedKernelDeathTest, PostBelowHorizonPanics)
         {
             // Single shard: the violation must trip even on the
             // inline path (and the death test stays single-threaded).
-            RingWorkload w(1, 2, 1000, 1, EvqImpl::Wheel);
+            RingWorkload w(1, 2, 1000, 1);
             w.queues[0]->schedule(5, [&]() {
                 // Legal posts need when >= the end of the current
                 // epoch; tick 500 is inside it.
@@ -167,14 +152,14 @@ TEST(ShardedKernelDeathTest, ZeroLookaheadPanics)
  * every cross-shard event enters the destination wheel's overflow
  * heap and must promote back into the wheel as epochs advance. Pin
  * the interaction down at the exact boundary: events at precisely the
- * horizon tick and one tick past it, on both backends, with the wheel
- * backend required to report overflow promotions.
+ * horizon tick and one tick past it, and require the wheel to report
+ * overflow promotions.
  */
-TEST_P(ShardedKernelImplTest, OverflowPromotionAcrossEpochBarriers)
+TEST(ShardedKernelTest, OverflowPromotionAcrossEpochBarriers)
 {
     // Wheel span is 1 << 16 ticks; make the epoch clear it.
     const Tick lookahead = (1ull << 16) + 4096;
-    RingWorkload w(2, 2, lookahead, 0, GetParam());
+    RingWorkload w(2, 2, lookahead, 0);
 
     std::vector<std::pair<Tick, int>> fired;
     w.queues[0]->schedule(1, [&]() {
@@ -201,12 +186,10 @@ TEST_P(ShardedKernelImplTest, OverflowPromotionAcrossEpochBarriers)
     EXPECT_EQ(fired[1], (std::pair<Tick, int>{lookahead + 1, 1}));
     EXPECT_EQ(fired[2], (std::pair<Tick, int>{lookahead * 3 + 7, 2}));
     EXPECT_EQ(sum.crossMessages, 3u);
-    if (GetParam() == EvqImpl::Wheel) {
-        // At drain time the deep event is still far beyond the wheel
-        // span; it must take the overflow-heap path and promote back
-        // into the wheel as the epochs advance.
-        EXPECT_GT(w.queues[1]->overflowPromotions(), 0u);
-    }
+    // At drain time the deep event is still far beyond the wheel
+    // span; it must take the overflow-heap path and promote back into
+    // the wheel as the epochs advance.
+    EXPECT_GT(w.queues[1]->overflowPromotions(), 0u);
 }
 
 // --- Multi-tenant topology ------------------------------------------

@@ -1,11 +1,8 @@
 /**
  * @file
  * Simulation kernel tests: event queue ordering, timing, the pooled
- * node lifecycle, the timing-wheel/heap equivalence, and clock
- * domains. Every ordering test runs against both queue backends
- * (EvqImpl::Wheel and EvqImpl::Heap) — the two must be bit-identical
- * in execution order for the OBFUSMEM_EVQ_IMPL A/B knob to be a
- * valid cross-check.
+ * node lifecycle, the (when, schedule order) execution contract across
+ * the timing wheel and its overflow tier, and clock domains.
  */
 
 #include <gtest/gtest.h>
@@ -21,34 +18,9 @@
 
 using namespace obfusmem;
 
-namespace {
-
-class EventQueueImplTest : public ::testing::TestWithParam<EvqImpl>
+TEST(EventQueue, ExecutesInTimeOrder)
 {
-};
-
-class EventQueueImplDeathTest : public EventQueueImplTest
-{
-};
-
-std::string
-implName(const ::testing::TestParamInfo<EvqImpl> &info)
-{
-    return info.param == EvqImpl::Wheel ? "wheel" : "heap";
-}
-
-} // namespace
-
-INSTANTIATE_TEST_SUITE_P(Impls, EventQueueImplTest,
-                         ::testing::Values(EvqImpl::Wheel, EvqImpl::Heap),
-                         implName);
-INSTANTIATE_TEST_SUITE_P(Impls, EventQueueImplDeathTest,
-                         ::testing::Values(EvqImpl::Wheel, EvqImpl::Heap),
-                         implName);
-
-TEST_P(EventQueueImplTest, ExecutesInTimeOrder)
-{
-    EventQueue eq(GetParam());
+    EventQueue eq;
     std::vector<int> order;
     eq.schedule(300, [&]() { order.push_back(3); });
     eq.schedule(100, [&]() { order.push_back(1); });
@@ -58,9 +30,9 @@ TEST_P(EventQueueImplTest, ExecutesInTimeOrder)
     EXPECT_EQ(eq.curTick(), 300u);
 }
 
-TEST_P(EventQueueImplTest, SameTickIsFifo)
+TEST(EventQueue, SameTickIsFifo)
 {
-    EventQueue eq(GetParam());
+    EventQueue eq;
     std::vector<int> order;
     for (int i = 0; i < 10; ++i)
         eq.schedule(50, [&order, i]() { order.push_back(i); });
@@ -70,9 +42,9 @@ TEST_P(EventQueueImplTest, SameTickIsFifo)
         EXPECT_EQ(order[i], i);
 }
 
-TEST_P(EventQueueImplTest, ScheduleAfterIsRelative)
+TEST(EventQueue, ScheduleAfterIsRelative)
 {
-    EventQueue eq(GetParam());
+    EventQueue eq;
     Tick seen = 0;
     eq.schedule(100, [&]() {
         eq.scheduleAfter(50, [&]() { seen = eq.curTick(); });
@@ -81,9 +53,9 @@ TEST_P(EventQueueImplTest, ScheduleAfterIsRelative)
     EXPECT_EQ(seen, 150u);
 }
 
-TEST_P(EventQueueImplTest, RunLimitStopsEarly)
+TEST(EventQueue, RunLimitStopsEarly)
 {
-    EventQueue eq(GetParam());
+    EventQueue eq;
     int executed = 0;
     eq.schedule(100, [&]() { ++executed; });
     eq.schedule(200, [&]() { ++executed; });
@@ -95,9 +67,9 @@ TEST_P(EventQueueImplTest, RunLimitStopsEarly)
     EXPECT_EQ(executed, 2);
 }
 
-TEST_P(EventQueueImplTest, StepExecutesOne)
+TEST(EventQueue, StepExecutesOne)
 {
-    EventQueue eq(GetParam());
+    EventQueue eq;
     int executed = 0;
     eq.schedule(10, [&]() { ++executed; });
     eq.schedule(20, [&]() { ++executed; });
@@ -108,9 +80,9 @@ TEST_P(EventQueueImplTest, StepExecutesOne)
     EXPECT_FALSE(eq.step());
 }
 
-TEST_P(EventQueueImplTest, EventsCanScheduleEvents)
+TEST(EventQueue, EventsCanScheduleEvents)
 {
-    EventQueue eq(GetParam());
+    EventQueue eq;
     int depth = 0;
     std::function<void()> chain = [&]() {
         if (++depth < 100)
@@ -126,9 +98,9 @@ TEST_P(EventQueueImplTest, EventsCanScheduleEvents)
 // Scheduling at curTick() from inside a running callback must execute
 // later within the same tick, after events that were already queued
 // for that tick, and before any later tick.
-TEST_P(EventQueueImplTest, ScheduleAtCurTickInsideCallback)
+TEST(EventQueue, ScheduleAtCurTickInsideCallback)
 {
-    EventQueue eq(GetParam());
+    EventQueue eq;
     std::vector<int> order;
     eq.schedule(50, [&]() {
         order.push_back(0);
@@ -147,9 +119,9 @@ TEST_P(EventQueueImplTest, ScheduleAtCurTickInsideCallback)
 // run(limit) must leave curTick() == limit even when the queue drains
 // before the limit — except for the limit == maxTick "drain" case,
 // where time only advances as far as the last executed event.
-TEST_P(EventQueueImplTest, RunAdvancesNowToLimit)
+TEST(EventQueue, RunAdvancesNowToLimit)
 {
-    EventQueue eq(GetParam());
+    EventQueue eq;
     int executed = 0;
     eq.schedule(100, [&]() { ++executed; });
     EXPECT_EQ(eq.run(500), 1u);
@@ -166,9 +138,9 @@ TEST_P(EventQueueImplTest, RunAdvancesNowToLimit)
 
 // run() returns the number of events executed by *that call* (the
 // delta of eventsExecuted()), not a cumulative count.
-TEST_P(EventQueueImplTest, RunReturnsExecutedDelta)
+TEST(EventQueue, RunReturnsExecutedDelta)
 {
-    EventQueue eq(GetParam());
+    EventQueue eq;
     for (Tick t : {10u, 20u, 30u})
         eq.schedule(t, []() {});
     EXPECT_EQ(eq.run(), 3u);
@@ -182,9 +154,9 @@ TEST_P(EventQueueImplTest, RunReturnsExecutedDelta)
 // callback must be invoked exactly once, and its capture destroyed
 // promptly after the invocation — not parked in the queue until
 // destruction time.
-TEST_P(EventQueueImplTest, CallbackInvokedOnceAndDestroyedPromptly)
+TEST(EventQueue, CallbackInvokedOnceAndDestroyedPromptly)
 {
-    EventQueue eq(GetParam());
+    EventQueue eq;
     auto token = std::make_shared<int>(0);
     eq.schedule(10, [token]() { ++*token; });
     eq.schedule(20, []() {});
@@ -199,11 +171,11 @@ TEST_P(EventQueueImplTest, CallbackInvokedOnceAndDestroyedPromptly)
 
 // Destroying the queue destroys pending captures without invoking
 // them.
-TEST_P(EventQueueImplTest, DestructorDestroysPendingCallbacks)
+TEST(EventQueue, DestructorDestroysPendingCallbacks)
 {
     auto token = std::make_shared<int>(0);
     {
-        EventQueue eq(GetParam());
+        EventQueue eq;
         eq.schedule(10, [token]() { ++*token; });
         eq.schedule(EventQueue::wheelSpan * 2, [token]() { ++*token; });
         EXPECT_EQ(token.use_count(), 3);
@@ -217,9 +189,9 @@ TEST_P(EventQueueImplTest, DestructorDestroysPendingCallbacks)
 // ordering among same-tick events that entered through different
 // tiers (a far-scheduled event must run before a later direct insert
 // at the same tick).
-TEST_P(EventQueueImplTest, FarEventsInterleaveAndStayFifo)
+TEST(EventQueue, FarEventsInterleaveAndStayFifo)
 {
-    EventQueue eq(GetParam());
+    EventQueue eq;
     const Tick T = EventQueue::wheelSpan + 10;
     std::vector<int> order;
     eq.schedule(T, [&]() { order.push_back(1); }); // far at schedule time
@@ -233,18 +205,33 @@ TEST_P(EventQueueImplTest, FarEventsInterleaveAndStayFifo)
     eq.schedule(EventQueue::wheelSpan * 3, [&]() { order.push_back(4); });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-    if (GetParam() == EvqImpl::Wheel)
-        EXPECT_GT(eq.overflowPromotions(), 0u);
-    else
-        EXPECT_EQ(eq.overflowPromotions(), 0u);
+    EXPECT_GT(eq.overflowPromotions(), 0u);
+}
+
+// run(limit) moves time forward without promoting far events, so a
+// later direct insert can land in the wheel *after* a far event that
+// is still waiting in the overflow tier. The far event must run first,
+// at its own tick.
+TEST(EventQueue, FarEventRunsBeforeLaterWheelEventAfterRunLimit)
+{
+    EventQueue eq;
+    std::vector<Tick> ran;
+    const Tick far_tick = EventQueue::wheelSpan + 10;
+    eq.schedule(far_tick, [&]() { ran.push_back(eq.curTick()); });
+    eq.run(100);
+    ASSERT_EQ(eq.curTick(), 100u);
+    const Tick near_tick = eq.curTick() + EventQueue::wheelSpan - 1;
+    eq.schedule(near_tick, [&]() { ran.push_back(eq.curTick()); });
+    eq.run();
+    EXPECT_EQ(ran, (std::vector<Tick>{far_tick, near_tick}));
 }
 
 // One self-rescheduling event recycles a single pool node forever:
 // the node is freed before the callback runs, so the rescheduled
 // event reuses it and the high-water mark never grows.
-TEST_P(EventQueueImplTest, PoolRecyclesNodes)
+TEST(EventQueue, PoolRecyclesNodes)
 {
-    EventQueue eq(GetParam());
+    EventQueue eq;
     struct Chain
     {
         EventQueue *eq;
@@ -264,65 +251,64 @@ TEST_P(EventQueueImplTest, PoolRecyclesNodes)
     EXPECT_EQ(eq.poolCapacity(), 1024u);
 }
 
-TEST_P(EventQueueImplDeathTest, SchedulingInThePastPanics)
+TEST(EventQueueDeathTest, SchedulingInThePastPanics)
 {
-    EventQueue eq(GetParam());
+    EventQueue eq;
     eq.schedule(100, []() {});
     eq.run();
     EXPECT_DEATH(eq.schedule(50, []() {}), "in the past");
 }
 
-// The two backends must execute a randomized storm of events —
-// same-tick bursts, far ticks, reschedules from inside callbacks —
-// in the exact same order. This is what makes OBFUSMEM_EVQ_IMPL a
-// bit-identical A/B knob at the full-system level.
-TEST(EventQueue, WheelAndHeapExecuteIdentically)
+// A randomized storm of events — same-tick bursts, near ticks and
+// ticks beyond the wheel horizon, scheduled from inside callbacks —
+// must run each event at its scheduled tick, in strictly increasing
+// (tick, schedule order), and drop none.
+TEST(EventQueue, StormExecutesInWhenSeqOrder)
 {
-    auto storm = [](EvqImpl impl) {
-        EventQueue eq(impl);
-        std::vector<std::pair<Tick, int>> trace;
-        uint64_t rng = 12345;
-        auto next = [&rng]() {
-            rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
-            return rng >> 33;
-        };
-        int serial = 0;
-        std::function<void(int)> fire = [&](int id) {
-            trace.emplace_back(eq.curTick(), id);
-            // Each event spawns 0..2 children at near/far/same ticks.
-            for (uint64_t k = next() % 3; k > 0; --k) {
-                if (trace.size() + serial > 4000)
-                    break;
-                const uint64_t r = next();
-                Tick delay = (r % 5 == 0)
-                                 ? 0 // same tick
-                                 : (r % 5 == 1)
-                                       ? EventQueue::wheelSpan + r % 100000
-                                       : r % 3000;
-                int child = ++serial;
-                eq.scheduleAfter(delay,
-                                 [&fire, child]() { fire(child); });
-            }
-        };
-        for (int i = 0; i < 50; ++i) {
-            int id = ++serial;
-            eq.schedule(next() % 2000, [&fire, id]() { fire(id); });
-        }
-        eq.run();
-        return trace;
-    };
-    auto wheel = storm(EvqImpl::Wheel);
-    auto heap = storm(EvqImpl::Heap);
-    ASSERT_GT(wheel.size(), 50u);
-    EXPECT_EQ(wheel, heap);
-}
-
-TEST(EventQueue, DefaultImplIsWheel)
-{
-    // The OBFUSMEM_EVQ_IMPL knob is latched on first use; in the test
-    // environment it is unset, so the default must be the wheel.
     EventQueue eq;
-    EXPECT_EQ(eq.impl(), EvqImpl::Wheel);
+    std::vector<Tick> scheduledAt; // by schedule-order id
+    std::vector<std::pair<Tick, int>> trace;
+    uint64_t rng = 12345;
+    auto next = [&rng]() {
+        rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+        return rng >> 33;
+    };
+    std::function<void(int)> fire;
+    auto post = [&](Tick when) {
+        const int id = static_cast<int>(scheduledAt.size());
+        scheduledAt.push_back(when);
+        eq.schedule(when, [&fire, id]() { fire(id); });
+    };
+    fire = [&](int id) {
+        trace.emplace_back(eq.curTick(), id);
+        // Each event spawns 0..2 children at near/far/same ticks.
+        for (uint64_t k = next() % 3; k > 0; --k) {
+            if (trace.size() + scheduledAt.size() > 4000)
+                break;
+            const uint64_t r = next();
+            Tick delay = (r % 5 == 0)
+                             ? 0 // same tick
+                             : (r % 5 == 1)
+                                   ? EventQueue::wheelSpan + r % 100000
+                                   : r % 3000;
+            post(eq.curTick() + delay);
+        }
+    };
+    for (int i = 0; i < 50; ++i)
+        post(next() % 2000);
+    eq.run();
+
+    ASSERT_GT(trace.size(), 50u);
+    EXPECT_EQ(trace.size(), scheduledAt.size());
+    EXPECT_EQ(eq.eventsExecuted(), scheduledAt.size());
+    EXPECT_GT(eq.overflowPromotions(), 0u);
+    for (size_t i = 0; i < trace.size(); ++i) {
+        const auto [tick, id] = trace[i];
+        EXPECT_EQ(tick, scheduledAt[id]) << "event " << id;
+        if (i > 0) {
+            EXPECT_LT(trace[i - 1], trace[i]) << "at position " << i;
+        }
+    }
 }
 
 TEST(EventQueue, AttachStatsExposesKernelCounters)

@@ -1,6 +1,6 @@
 /**
  * @file
- * ObfusMem wire format and MAC engine tests.
+ * ObfusMem wire format, MAC engine and burst-batch pipeline tests.
  */
 
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <set>
 #include <vector>
 
+#include "obfusmem/burst_batch.hh"
 #include "obfusmem/mac_engine.hh"
 #include "obfusmem/wire_format.hh"
 #include "util/random.hh"
@@ -304,3 +305,153 @@ TEST(FrameBatch, SealWithoutMacsLeavesFramesUnauthenticated)
     EXPECT_FALSE(got.hasMac);
     EXPECT_EQ(got.cipherHeader, makeHeaderMessage(pad, hdr).cipherHeader);
 }
+
+namespace {
+
+/** One frame as BurstBatch::flushWith handed it to the owner. */
+struct Delivered
+{
+    unsigned channel;
+    WireMessage msg;
+    BurstBatch::Completion done;
+};
+
+} // namespace
+
+TEST(BurstBatch, NestedScopesFlushOnceAtOutermostClose)
+{
+    AesCtr cipher(testKey(), 9);
+    MacEngine mac(MacEngine::Params{});
+    BurstBatch burst;
+    std::vector<Delivered> out;
+    int flushes = 0;
+    auto flush = [&] {
+        ++flushes;
+        burst.flushWith(mac, true,
+            [&](unsigned ch, WireMessage &&m,
+                BurstBatch::Completion &&d) {
+                out.push_back({ch, std::move(m), std::move(d)});
+            });
+    };
+    WireHeader hdr;
+    hdr.cmd = MemCmd::Read;
+    {
+        auto outer = burstScope(burst, flush);
+        burst.stageHeader(0, cipher.pad(1), hdr, 1);
+        {
+            auto inner = burstScope(burst, flush);
+            burst.stageHeader(1, cipher.pad(2), hdr, 2);
+        }
+        EXPECT_EQ(flushes, 0);
+        EXPECT_TRUE(out.empty());
+        burst.stageHeader(2, cipher.pad(3), hdr, 3);
+    }
+    EXPECT_EQ(flushes, 1);
+    ASSERT_EQ(out.size(), 3u);
+
+    // The batch is reusable: a fresh scope flushes on its own close.
+    {
+        auto again = burstScope(burst, flush);
+        burst.stageHeader(3, cipher.pad(4), hdr, 4);
+    }
+    EXPECT_EQ(flushes, 2);
+    EXPECT_EQ(out.size(), 4u);
+}
+
+TEST(BurstBatch, DeliversInStageOrderWithCompletions)
+{
+    AesCtr cipher(testKey(), 9);
+    MacEngine mac(MacEngine::Params{});
+    Random rng(5);
+    BurstBatch burst;
+    std::vector<Delivered> out;
+    std::vector<WireMessage> expect;
+    auto flush = [&] {
+        burst.flushWith(mac, true,
+            [&](unsigned ch, WireMessage &&m,
+                BurstBatch::Completion &&d) {
+                out.push_back({ch, std::move(m), std::move(d)});
+            });
+    };
+
+    uint64_t completedAddr = 0;
+    {
+        auto scope = burstScope(burst, flush);
+        WireHeader rd;
+        rd.cmd = MemCmd::Read;
+        rd.addr = 0x40;
+        Block128 pad = cipher.pad(10);
+        burst.stageHeader(3, pad, rd, 10);
+        expect.push_back(makeHeaderMessage(pad, rd));
+        attachMac(expect.back(), mac.compute(rd, 10));
+
+        for (uint64_t ctr : {11u, 16u}) {
+            WireHeader wr;
+            wr.cmd = MemCmd::Write;
+            wr.addr = 0x80 * ctr;
+            DataBlock payload;
+            rng.fillBytes(payload.data(), payload.size());
+            Block128 pads[5];
+            cipher.genPads(ctr, pads, 5);
+            if (ctr == 11) {
+                burst.stageData(1, pads[0], &pads[1], wr, payload, ctr);
+            } else {
+                MemPacket pkt;
+                pkt.addr = wr.addr;
+                burst.stageData(2, pads[0], &pads[1], wr, payload, ctr,
+                                pkt, [&](MemPacket &&done) {
+                                    completedAddr = done.addr;
+                                });
+            }
+            expect.push_back(
+                makeDataMessage(pads[0], &pads[1], wr, payload));
+            attachMac(expect.back(), mac.compute(wr, ctr));
+        }
+    }
+
+    ASSERT_EQ(out.size(), expect.size());
+    const unsigned channels[] = {3, 1, 2};
+    for (size_t i = 0; i < out.size(); ++i) {
+        EXPECT_EQ(out[i].channel, channels[i]) << i;
+        EXPECT_EQ(out[i].msg.cipherHeader, expect[i].cipherHeader) << i;
+        EXPECT_EQ(out[i].msg.hasData, expect[i].hasData) << i;
+        EXPECT_EQ(out[i].msg.cipherData, expect[i].cipherData) << i;
+        EXPECT_EQ(out[i].msg.mac, expect[i].mac) << i;
+    }
+    // Only the frame staged with a completion carries one.
+    EXPECT_FALSE(out[0].done.cb);
+    EXPECT_FALSE(out[1].done.cb);
+    ASSERT_TRUE(out[2].done.cb);
+    out[2].done.cb(std::move(out[2].done.pkt));
+    EXPECT_EQ(completedAddr, 0x80u * 16);
+}
+
+TEST(BurstBatch, FlushWithOnEmptyBatchCallsNothing)
+{
+    MacEngine mac(MacEngine::Params{});
+    BurstBatch burst;
+    int calls = 0;
+    auto count = [&](unsigned, WireMessage &&, BurstBatch::Completion &&) {
+        ++calls;
+    };
+    burst.flushWith(mac, true, count);
+    EXPECT_EQ(calls, 0);
+    // A scope that stages nothing flushes an empty batch.
+    {
+        auto scope = burstScope(burst, [&] {
+            burst.flushWith(mac, false, count);
+        });
+    }
+    EXPECT_EQ(calls, 0);
+}
+
+#if OBFUSMEM_DCHECK_ACTIVE
+TEST(BurstBatchDeathTest, StageOutsideScopePanics)
+{
+    AesCtr cipher(testKey(), 9);
+    BurstBatch burst;
+    WireHeader hdr;
+    EXPECT_DEATH(burst.stageHeader(0, cipher.pad(1), hdr, 1),
+                 "outside a burst scope");
+}
+#endif
