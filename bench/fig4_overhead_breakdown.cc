@@ -88,10 +88,10 @@ main()
     std::printf("%-12s %12.1f %12.1f %14.1f   (paper)\n", "", 2.2,
                 8.3, 10.9);
 
-    // Summary row tagged with the host crypto config so
-    // OBFUSMEM_AES_IMPL A/B runs can be compared by total host wall
-    // time. Simulated ticks are identical across AES impls by
-    // construction.
+    // Summary row tagged with the host crypto config (the kernels
+    // CPUID picked) so runs on different hosts or builds can be
+    // compared by total host wall time. Simulated ticks are identical
+    // across AES impls by construction.
     double totalWallMs = 0;
     for (const RunOutcome &out : outcomes)
         totalWallMs += out.wallMs;

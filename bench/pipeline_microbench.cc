@@ -22,7 +22,7 @@
  * MacEngine::computeBatch reports how many tags the wide MD5 lanes
  * computed, and on a host whose build and CPU run a lane kernel every
  * 32-group flush must be fully laned, or the run fails (exit 1).
- * OBFUSMEM_MD5_LANES=scalar opts out of the lanes and hence the gate.
+ * Hosts without a lane kernel skip the gate.
  * The ratio stays reported only: it moves with the scalar leg's
  * one-block MD5 and with host noise, neither of which is batching.
  */
@@ -266,14 +266,9 @@ main()
     jsonSpeedupRow("pipeline_microbench", "batch_vs_scalar",
                    "request-groups", groups, speedup, batchMs);
 
-    const bool scalarForced =
-        env::choice("OBFUSMEM_MD5_LANES", {"avx512", "avx2", "scalar"},
-                    0)
-        == 2;
-    if (!crypto::md5LanesAvailable() || scalarForced) {
-        std::printf("lane gate skipped: %s\n",
-                    scalarForced ? "OBFUSMEM_MD5_LANES=scalar"
-                                 : "no MD5 lane kernel on this host");
+    if (!crypto::md5LanesAvailable()) {
+        std::printf("lane gate skipped: no MD5 lane kernel on this "
+                    "host\n");
     } else if (lanedMsgs != batchMsgs) {
         std::fprintf(stderr,
                      "FAIL: %llu of %llu batch MACs left the MD5 "

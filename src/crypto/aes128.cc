@@ -2,8 +2,8 @@
  * @file
  * AES-128: byte-oriented FIPS-197 reference path plus the T-table
  * fast path, and the dispatch that can route to the AES-NI hardware
- * path (compiled separately in aes128_aesni.cc). Every table (S-box,
- * inverse S-box, the four fused encryption tables) is generated at
+ * path (compiled separately in aes128_aesni.cc). Every table (the
+ * S-box and the four fused encryption tables) is generated at
  * compile time, so there is no lazily initialized mutable state
  * anywhere in this translation unit and instances are safe to use
  * from concurrent sweep-runner jobs.
@@ -12,7 +12,6 @@
 #include "crypto/aes128.hh"
 
 #include "crypto/cpu_features.hh"
-#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace obfusmem {
@@ -55,17 +54,6 @@ constexpr std::array<uint8_t, 256> sbox = {
     0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 };
 
-constexpr std::array<uint8_t, 256>
-makeInvSbox()
-{
-    std::array<uint8_t, 256> inv{};
-    for (int i = 0; i < 256; ++i)
-        inv[sbox[i]] = static_cast<uint8_t>(i);
-    return inv;
-}
-
-constexpr std::array<uint8_t, 256> invSbox = makeInvSbox();
-
 constexpr uint8_t
 xtime(uint8_t x)
 {
@@ -105,32 +93,11 @@ makeEncTables()
 constexpr std::array<std::array<uint32_t, 256>, 4> encTables =
     makeEncTables();
 
-/** GF(2^8) multiplication. */
-uint8_t
-gmul(uint8_t a, uint8_t b)
-{
-    uint8_t p = 0;
-    for (int i = 0; i < 8; ++i) {
-        if (b & 1)
-            p ^= a;
-        a = xtime(a);
-        b >>= 1;
-    }
-    return p;
-}
-
 void
 subBytes(uint8_t *s)
 {
     for (int i = 0; i < 16; ++i)
         s[i] = sbox[s[i]];
-}
-
-void
-invSubBytes(uint8_t *s)
-{
-    for (int i = 0; i < 16; ++i)
-        s[i] = invSbox[s[i]];
 }
 
 // State is column-major: s[4*c + r] is row r, column c.
@@ -141,18 +108,6 @@ shiftRows(uint8_t *s)
     for (int c = 0; c < 4; ++c) {
         for (int r = 0; r < 4; ++r)
             t[4 * c + r] = s[4 * ((c + r) % 4) + r];
-    }
-    for (int i = 0; i < 16; ++i)
-        s[i] = t[i];
-}
-
-void
-invShiftRows(uint8_t *s)
-{
-    uint8_t t[16];
-    for (int c = 0; c < 4; ++c) {
-        for (int r = 0; r < 4; ++r)
-            t[4 * ((c + r) % 4) + r] = s[4 * c + r];
     }
     for (int i = 0; i < 16; ++i)
         s[i] = t[i];
@@ -176,23 +131,6 @@ mixColumns(uint8_t *s)
 }
 
 void
-invMixColumns(uint8_t *s)
-{
-    for (int c = 0; c < 4; ++c) {
-        uint8_t *col = s + 4 * c;
-        uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-        col[0] = gmul(a0, 0x0e) ^ gmul(a1, 0x0b) ^ gmul(a2, 0x0d)
-                 ^ gmul(a3, 0x09);
-        col[1] = gmul(a0, 0x09) ^ gmul(a1, 0x0e) ^ gmul(a2, 0x0b)
-                 ^ gmul(a3, 0x0d);
-        col[2] = gmul(a0, 0x0d) ^ gmul(a1, 0x09) ^ gmul(a2, 0x0e)
-                 ^ gmul(a3, 0x0b);
-        col[3] = gmul(a0, 0x0b) ^ gmul(a1, 0x0d) ^ gmul(a2, 0x09)
-                 ^ gmul(a3, 0x0e);
-    }
-}
-
-void
 addRoundKey(uint8_t *s, const uint8_t *rk)
 {
     for (int i = 0; i < 16; ++i)
@@ -208,7 +146,6 @@ aesImplName(AesImpl impl)
       case AesImpl::Ttable: return "ttable";
       case AesImpl::Reference: return "reference";
       case AesImpl::Aesni: return "aesni";
-      case AesImpl::Vaes: return "vaes";
     }
     return "unknown";
 }
@@ -219,29 +156,10 @@ Aes128::aesniAvailable()
     return detail::aesniCompiledIn() && cpuHasAesni();
 }
 
-bool
-Aes128::vaesAvailable()
-{
-    // Sub-lane batches and single blocks route through the AES-NI
-    // path, so VAES is only usable when AES-NI is too (every VAES CPU
-    // has AES-NI, but a -DOBFUSMEM_DISABLE_AESNI build does not).
-    return detail::vaesCompiledIn() && cpuHasVaes512()
-           && aesniAvailable();
-}
-
 void
 Aes128::setImpl(AesImpl impl)
 {
-    // Step down the lane-width ladder instead of faulting: an
-    // unavailable hardware lane degrades to the next narrower one.
-    if (impl == AesImpl::Vaes && !vaesAvailable()) {
-        warn("VAES requested but ",
-             detail::vaesCompiledIn() ? "this CPU does not support it"
-                                      : "this build does not include it",
-             "; stepping down to ",
-             aesniAvailable() ? "AES-NI" : "the T-table path");
-        impl = aesniAvailable() ? AesImpl::Aesni : AesImpl::Ttable;
-    }
+    // Degrade instead of faulting on the first aesenc.
     if (impl == AesImpl::Aesni && !aesniAvailable()) {
         warn("AES-NI requested but ",
              detail::aesniCompiledIn() ? "this CPU does not support it"
@@ -255,43 +173,8 @@ Aes128::setImpl(AesImpl impl)
 AesImpl
 Aes128::defaultImpl()
 {
-    static const AesImpl choice = [] {
-        auto widest = [] {
-            if (vaesAvailable())
-                return AesImpl::Vaes;
-            return aesniAvailable() ? AesImpl::Aesni : AesImpl::Ttable;
-        };
-        size_t unset = 4;
-        size_t pick = env::choice("OBFUSMEM_AES_IMPL",
-                                  {"vaes", "aesni", "ttable", "reference"},
-                                  unset);
-        switch (pick) {
-          case 0:
-            if (vaesAvailable())
-                return AesImpl::Vaes;
-            warn("OBFUSMEM_AES_IMPL=vaes but VAES is unavailable ",
-                 detail::vaesCompiledIn()
-                     ? "(CPU lacks the instructions)"
-                     : "(disabled in this build)",
-                 "; using ", aesniAvailable() ? "aesni" : "ttable");
-            return aesniAvailable() ? AesImpl::Aesni : AesImpl::Ttable;
-          case 1:
-            if (aesniAvailable())
-                return AesImpl::Aesni;
-            warn("OBFUSMEM_AES_IMPL=aesni but AES-NI is unavailable ",
-                 detail::aesniCompiledIn()
-                     ? "(CPU lacks the instructions)"
-                     : "(disabled in this build)",
-                 "; using ttable");
-            return AesImpl::Ttable;
-          case 2:
-            return AesImpl::Ttable;
-          case 3:
-            return AesImpl::Reference;
-          default:
-            return widest();
-        }
-    }();
+    static const AesImpl choice =
+        aesniAvailable() ? AesImpl::Aesni : AesImpl::Ttable;
     return choice;
 }
 
@@ -403,9 +286,6 @@ Aes128::encryptBlock(const Block128 &plaintext) const
     panic_if(!keyed, "Aes128 used before setKey");
     switch (implChoice) {
       case AesImpl::Aesni:
-      case AesImpl::Vaes:
-        // The wide lanes only differ on batches; a lone block is an
-        // AES-NI round trip for both.
         return detail::aesniEncryptBlock(roundKeys, plaintext);
       case AesImpl::Ttable:
         return encryptTtable(plaintext);
@@ -420,9 +300,6 @@ Aes128::encryptBlocks(const Block128 *in, Block128 *out, size_t n) const
 {
     panic_if(!keyed, "Aes128 used before setKey");
     switch (implChoice) {
-      case AesImpl::Vaes:
-        detail::vaesEncryptBlocks(roundKeys, in, out, n);
-        return;
       case AesImpl::Aesni:
         detail::aesniEncryptBlocks(roundKeys, in, out, n);
         return;
@@ -435,26 +312,6 @@ Aes128::encryptBlocks(const Block128 *in, Block128 *out, size_t n) const
     }
     for (size_t i = 0; i < n; ++i)
         out[i] = encryptReference(in[i]);
-}
-
-Block128
-Aes128::decryptBlock(const Block128 &ciphertext) const
-{
-    panic_if(!keyed, "Aes128 used before setKey");
-    Block128 state = ciphertext;
-    uint8_t *s = state.data();
-
-    addRoundKey(s, roundKeys[10].data());
-    for (int round = 9; round >= 1; --round) {
-        invShiftRows(s);
-        invSubBytes(s);
-        addRoundKey(s, roundKeys[round].data());
-        invMixColumns(s);
-    }
-    invShiftRows(s);
-    invSubBytes(s);
-    addRoundKey(s, roundKeys[0].data());
-    return state;
 }
 
 } // namespace crypto

@@ -8,21 +8,20 @@
  * 128-bit pad per cycle throughput, 15.1 mW, 0.204 mm^2) are captured as
  * constants here and consumed by the timing model.
  *
- * Four encryption implementations are provided:
- *  - Vaes: 512-bit VAES batches (four blocks per zmm register, four
- *    registers in flight) for the widest pad-generation lanes. The
- *    default when the build carries the instructions and the running
- *    CPU advertises VAES + AVX-512 F/BW/VL.
+ * Three encryption implementations are provided; CPUID alone picks
+ * between the first two, and only tests and benches pin one:
  *  - Aesni: hardware AES via the x86 AES-NI instructions, with 4/8-wide
- *    pipelined batches in encryptBlocks. The default on AES-NI CPUs
- *    without usable VAES.
- *  - Ttable: the portable hot path. The 32-bit T-table formulation
- *    fuses SubBytes, ShiftRows and MixColumns into four table lookups
- *    and three XORs per column per round. The tables are generated at
- *    compile time from the S-box, so no runtime initialization (and no
- *    initialization races) exist.
+ *    pipelined batches in encryptBlocks. The default whenever the
+ *    build carries the AES-NI TU and the running CPU advertises it.
+ *  - Ttable: the portable path, used on every other host. The 32-bit
+ *    T-table formulation fuses SubBytes, ShiftRows and MixColumns into
+ *    four table lookups and three XORs per column per round. The
+ *    tables are generated at compile time from the S-box, so no
+ *    runtime initialization (and no initialization races) exist.
  *  - Reference: the byte-oriented FIPS-197 transcription, kept as the
  *    cross-checked oracle. Tests pin every other path to it.
+ *
+ * Only the forward cipher exists: counter mode never decrypts.
  *
  * The simulated *hardware* is unchanged either way: implementation
  * choice only affects host throughput, never simulated timing.
@@ -65,16 +64,14 @@ enum class AesImpl
     Reference,
     /** x86 AES-NI hardware path (8-wide batches). */
     Aesni,
-    /** 512-bit VAES batches (the widest pad-generation lanes). */
-    Vaes,
 };
 
-/** Human-readable name for an implementation (matches the env values). */
+/** Human-readable name for an implementation. */
 const char *aesImplName(AesImpl impl);
 
 /**
  * AES-128 with a fixed key set at construction (or via setKey).
- * Provides single-block and batched encrypt, and single-block decrypt.
+ * Provides single-block and batched encrypt.
  */
 class Aes128
 {
@@ -100,37 +97,24 @@ class Aes128
     void encryptBlocks(const Block128 *in, Block128 *out,
                        size_t n) const;
 
-    /** Decrypt one 16-byte block (inverse cipher). */
-    Block128 decryptBlock(const Block128 &ciphertext) const;
-
     /**
-     * Select the encryption implementation for this instance.
-     * Requesting a hardware lane the build or CPU cannot honour warns
-     * and steps down the ladder (Vaes -> Aesni -> Ttable) instead of
-     * faulting on the first wide instruction.
+     * Pin the encryption implementation for this instance (tests and
+     * benches). Requesting Aesni where the build or CPU cannot honour
+     * it warns and steps down to Ttable instead of faulting on the
+     * first aesenc.
      */
     void setImpl(AesImpl impl);
     AesImpl impl() const { return implChoice; }
 
     /**
-     * Process-wide default implementation, read once from the
-     * OBFUSMEM_AES_IMPL environment variable ("vaes", "aesni",
-     * "ttable" or "reference"; stable across threads).
-     * Unset: the widest lane the build and the running CPU support —
-     * Vaes, then Aesni, then Ttable. An explicit hardware choice that
-     * cannot be honoured warns and falls back down the same ladder.
+     * Process-wide default implementation: Aesni when
+     * aesniAvailable(), else Ttable. Latched once, stable across
+     * threads.
      */
     static AesImpl defaultImpl();
 
     /** True when the binary contains AES-NI code and the CPU runs it. */
     static bool aesniAvailable();
-
-    /**
-     * True when the binary contains the VAES/AVX-512 lanes and the CPU
-     * runs them. VAES batches fall back to AES-NI for sub-lane tails,
-     * so availability requires aesniAvailable() too.
-     */
-    static bool vaesAvailable();
 
   private:
     Block128 encryptTtable(const Block128 &plaintext) const;
@@ -158,17 +142,6 @@ Block128 aesniEncryptBlock(OBF_SECRET const Aes128::RoundKeys &schedule,
                            const Block128 &plaintext);
 void aesniEncryptBlocks(OBF_SECRET const Aes128::RoundKeys &schedule,
                         const Block128 *in, Block128 *out, size_t n);
-
-/**
- * VAES/AVX-512 entry points, defined in aes128_vaes.cc — the only
- * translation unit built with -mvaes/-mavx512*. Same contract as the
- * aesni* set: panicking stubs when the build gates the lanes off
- * (-DOBFUSMEM_DISABLE_VAES=ON or a compiler without the flags), with
- * vaesCompiledIn() reporting false so the dispatch stays honest.
- */
-bool vaesCompiledIn();
-void vaesEncryptBlocks(OBF_SECRET const Aes128::RoundKeys &schedule,
-                       const Block128 *in, Block128 *out, size_t n);
 
 } // namespace detail
 

@@ -87,26 +87,6 @@ probeAvx512f()
 #endif
 }
 
-bool
-probeVaes512()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-    if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx))
-        return false;
-    if (!(ecx & (1u << 9))) // CPUID.7.0:ECX.VAES
-        return false;
-    const unsigned need_ebx = (1u << 16)   // AVX512F
-                              | (1u << 30) // AVX512BW
-                              | (1u << 31); // AVX512VL
-    if ((ebx & need_ebx) != need_ebx)
-        return false;
-    return osSavesState(xcr0Zmm);
-#else
-    return false;
-#endif
-}
-
 } // namespace
 
 bool
@@ -130,13 +110,6 @@ cpuHasAvx512f()
     return has;
 }
 
-bool
-cpuHasVaes512()
-{
-    static const bool has = probeVaes512();
-    return has;
-}
-
 std::string
 cpuFeatureSummary()
 {
@@ -152,8 +125,6 @@ cpuFeatureSummary()
         append("avx2");
     if (cpuHasAvx512f())
         append("avx512f");
-    if (cpuHasVaes512())
-        append("vaes512");
     if (out.empty())
         out = "none";
     return out;

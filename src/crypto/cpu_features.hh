@@ -7,8 +7,10 @@
  * are separate questions: a binary built with the AES-NI translation
  * unit may land on a CPU without the extension, and the dispatch in
  * Aes128 must then fall back to the T-table path instead of faulting
- * on the first aesenc. The same split applies to the wider lanes:
- * VAES/AVX-512 (vaes pad generation) and AVX2 (8-lane MD5).
+ * on the first aesenc. The same split applies to the MD5 lane
+ * kernels: AVX2 (8 lanes) and AVX-512F (16 lanes). These probes, plus
+ * the -DOBFUSMEM_DISABLE_{AESNI,AVX2,AVX512} build options, are the
+ * only things that choose a crypto kernel.
  */
 
 #ifndef OBFUSMEM_CRYPTO_CPU_FEATURES_HH
@@ -39,14 +41,7 @@ bool cpuHasAvx2();
 bool cpuHasAvx512f();
 
 /**
- * True when the CPU can run the 512-bit VAES pad generator: VAES,
- * AVX-512 F/BW/VL, and ZMM/opmask state enabled in XCR0. Implies
- * nothing about AES-NI; the dispatch checks both.
- */
-bool cpuHasVaes512();
-
-/**
- * Comma-separated summary of the probed flags ("aesni,avx2,vaes512"
+ * Comma-separated summary of the probed flags ("aesni,avx2,avx512f"
  * or any subset; "none" when empty). Emitted into benchmark JSONL
  * host-metadata rows so perf baselines are comparable across machines.
  */

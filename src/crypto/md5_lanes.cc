@@ -20,7 +20,6 @@
 
 #include "crypto/bytes.hh"
 #include "crypto/cpu_features.hh"
-#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace obfusmem {
@@ -30,51 +29,16 @@ namespace {
 
 enum class LaneMode { Scalar, Avx2, Avx512 };
 
-/**
- * Lane dispatch, latched once
- * (OBFUSMEM_MD5_LANES=avx512|avx2|scalar).
- */
+/** Lane dispatch: the widest kernel the build and CPU run, latched. */
 LaneMode
 laneMode()
 {
-    static const LaneMode mode = [] {
-        const bool can512 =
-            detail::md5LanesAvx512CompiledIn() && cpuHasAvx512f();
-        const bool can2 =
-            detail::md5LanesAvx2CompiledIn() && cpuHasAvx2();
-        const LaneMode widest = can512 ? LaneMode::Avx512
-                                : can2 ? LaneMode::Avx2
-                                       : LaneMode::Scalar;
-        size_t unset = 3;
-        size_t pick = env::choice("OBFUSMEM_MD5_LANES",
-                                  {"avx512", "avx2", "scalar"}, unset);
-        if (pick == 0) {
-            if (can512)
-                return LaneMode::Avx512;
-            warn("OBFUSMEM_MD5_LANES=avx512 but the AVX-512 kernel "
-                 "is unavailable ",
-                 detail::md5LanesAvx512CompiledIn()
-                     ? "(CPU lacks the instructions)"
-                     : "(disabled in this build)",
-                 "; using the widest available");
-            return widest == LaneMode::Avx512 ? LaneMode::Avx2
-                                              : widest;
-        }
-        if (pick == 1) {
-            if (can2)
-                return LaneMode::Avx2;
-            warn("OBFUSMEM_MD5_LANES=avx2 but the AVX2 kernel is "
-                 "unavailable ",
-                 detail::md5LanesAvx2CompiledIn()
-                     ? "(CPU lacks the instructions)"
-                     : "(disabled in this build)",
-                 "; using scalar");
-            return LaneMode::Scalar;
-        }
-        if (pick == 2)
-            return LaneMode::Scalar;
-        return widest;
-    }();
+    static const LaneMode mode =
+        detail::md5LanesAvx512CompiledIn() && cpuHasAvx512f()
+            ? LaneMode::Avx512
+        : detail::md5LanesAvx2CompiledIn() && cpuHasAvx2()
+            ? LaneMode::Avx2
+            : LaneMode::Scalar;
     return mode;
 }
 

@@ -44,10 +44,9 @@ constexpr size_t md5LaneWidthZmm = 16;
  * One-shot MD5 digests for `n` equal-length short messages
  * (`len <= md5ShortMax`), packed `stride` bytes apart starting at
  * `msgs`. Dispatches to the widest kernel the build and the running
- * CPU allow — AVX-512 16-lane, then AVX2 8-lane (override with
- * OBFUSMEM_MD5_LANES=avx512|avx2|scalar; a forced avx512 run still
- * drains sub-group tails through the narrower kernels). Sub-8 tails,
- * and every message under the scalar mode, go through Md5::digest's
+ * CPU allow — AVX-512 16-lane, then AVX2 8-lane; sub-16 tails of an
+ * AVX-512 run drain through the AVX2 kernel. Sub-8 tails, and every
+ * message on a host with no lane kernel, go through Md5::digest's
  * one-block path. Output digests are bit-identical on every path.
  *
  * Returns how many of the `n` messages a wide kernel compressed (the

@@ -98,8 +98,12 @@ stepBZmm(int i, __m512i a, __m512i b, __m512i f, __m512i mg)
         _mm512_add_epi32(a, f),
         _mm512_add_epi32(
             _mm512_set1_epi32(static_cast<int>(kTable[i])), mg));
+    // The all-ones zeroing mask is the same vprolvd as
+    // _mm512_rolv_epi32, without that intrinsic's undefined-register
+    // source, which gcc 12 flags under -Werror=uninitialized.
     return _mm512_add_epi32(
-        b, _mm512_rolv_epi32(sum, _mm512_set1_epi32(shifts[i])));
+        b, _mm512_maskz_rolv_epi32(static_cast<__mmask16>(0xffff), sum,
+                                   _mm512_set1_epi32(shifts[i])));
 }
 
 } // namespace

@@ -18,9 +18,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <initializer_list>
-#include <string>
-#include <string_view>
 #include <thread>
 
 #include "util/logging.hh"
@@ -111,35 +108,6 @@ jobs(const char *name, unsigned def, unsigned cap = 256)
         return hw ? hw : 1u;
     }
     return static_cast<unsigned>(parsed > cap ? cap : parsed);
-}
-
-/**
- * Enumerated knob: returns the index of @p value's match in
- * @p allowed, or @p def_index after warning when the value is set
- * but matches nothing. Index 0..n-1 follows the order of @p allowed.
- */
-inline size_t
-choice(const char *name, std::initializer_list<const char *> allowed,
-       size_t def_index)
-{
-    const char *v = raw(name);
-    if (!v)
-        return def_index;
-    size_t i = 0;
-    for (const char *a : allowed) {
-        if (std::string_view(v) == a)
-            return i;
-        ++i;
-    }
-    std::string options;
-    for (const char *a : allowed) {
-        if (!options.empty())
-            options += ", ";
-        options += a;
-    }
-    warn(name, "=\"", v, "\" is not one of {", options,
-         "}; using the default");
-    return def_index;
 }
 
 } // namespace env

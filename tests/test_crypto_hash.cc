@@ -12,10 +12,12 @@
 #include <vector>
 
 #include "crypto/bytes.hh"
+#include "crypto/cpu_features.hh"
 #include "crypto/hmac.hh"
 #include "crypto/md5.hh"
 #include "crypto/md5_lanes.hh"
 #include "crypto/sha1.hh"
+#include "util/random.hh"
 
 using namespace obfusmem::crypto;
 
@@ -32,6 +34,39 @@ sha1Hex(const std::string &s)
 {
     return toHex(Sha1::digest(s));
 }
+
+constexpr size_t macLen = 17; // the MAC preimage length
+
+/** One W-lane kernel group of random MAC-sized messages, packed. */
+template <size_t W>
+struct KernelGroup
+{
+    explicit KernelGroup(obfusmem::Random &rng)
+    {
+        for (size_t l = 0; l < W; ++l) {
+            rng.fillBytes(msgs[l].data(), macLen);
+            detail::md5PackShort(msgs[l].data(), macLen,
+                                 words.data() + l, W);
+        }
+    }
+
+    /** Every lane of the kernel's state against Md5::digest. */
+    void
+    expectDigests(const char *kernel) const
+    {
+        for (size_t l = 0; l < W; ++l) {
+            Md5Digest got;
+            for (size_t s = 0; s < 4; ++s)
+                storeLe32(got.data() + 4 * s, state[s * W + l]);
+            EXPECT_EQ(got, Md5::digest(msgs[l].data(), macLen))
+                << kernel << " lane " << l;
+        }
+    }
+
+    std::array<std::array<uint8_t, macLen>, W> msgs{};
+    std::array<uint32_t, 16 * W> words{};
+    std::array<uint32_t, 4 * W> state{};
+};
 
 } // namespace
 
@@ -321,4 +356,43 @@ TEST(Md5Lanes, AvailabilityIsConsistent)
         EXPECT_TRUE(detail::md5LanesAvx2CompiledIn()
                     || detail::md5LanesAvx512CompiledIn());
     }
+}
+
+TEST(Md5Lanes, EveryKernelMatchesScalarDigest)
+{
+    // md5ShortBatch only reaches the kernels its dispatch picks (an
+    // AVX-512 host never runs the AVX2 pair kernel), so call every
+    // compiled-in, CPU-runnable kernel directly.
+    obfusmem::Random rng(0x1a9e5);
+    bool ran = false;
+    for (int round = 0; round < 8; ++round) {
+        if (detail::md5LanesAvx2CompiledIn() && cpuHasAvx2()) {
+            KernelGroup<md5LaneWidth> one(rng), a(rng), b(rng);
+            detail::md5LanesAvx2Compress8(one.words.data(),
+                                          one.state.data());
+            detail::md5LanesAvx2Compress8x2(a.words.data(),
+                                            a.state.data(),
+                                            b.words.data(),
+                                            b.state.data());
+            one.expectDigests("avx2 8");
+            a.expectDigests("avx2 8x2 first");
+            b.expectDigests("avx2 8x2 second");
+            ran = true;
+        }
+        if (detail::md5LanesAvx512CompiledIn() && cpuHasAvx512f()) {
+            KernelGroup<md5LaneWidthZmm> one(rng), a(rng), b(rng);
+            detail::md5LanesAvx512Compress16(one.words.data(),
+                                             one.state.data());
+            detail::md5LanesAvx512Compress16x2(a.words.data(),
+                                               a.state.data(),
+                                               b.words.data(),
+                                               b.state.data());
+            one.expectDigests("avx512 16");
+            a.expectDigests("avx512 16x2 first");
+            b.expectDigests("avx512 16x2 second");
+            ran = true;
+        }
+    }
+    if (!ran)
+        GTEST_SKIP() << "no MD5 lane kernel on this host/build";
 }

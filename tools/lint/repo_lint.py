@@ -32,7 +32,7 @@ know about:
   aes-dispatch    a direct Aes128 object, or a raw MD5 lane-kernel
                   call, in src/ outside src/crypto/: raw block-cipher
                   use bypasses the runtime AES implementation dispatch
-                  (vaes/aesni/ttable/reference) and the counter-mode
+                  (CPUID picks aesni or ttable) and the counter-mode
                   pad plumbing that the wire endpoints and the trace
                   auditor's pad ledgers hang off, and a direct
                   md5Lanes*Compress* call skips the latched width
