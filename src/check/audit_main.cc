@@ -14,44 +14,14 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 
 #include "system/system.hh"
+#include "system/topology.hh"
 
 using namespace obfusmem;
 
 namespace {
-
-/**
- * Wire-trace dumper: one line per snooped bus message, exactly the
- * attacker's view. CI diffs a recovery-on trace against a recovery-off
- * trace of the same faultless run to prove the recovery layer is
- * wire-invisible until a fault actually occurs.
- */
-class TraceDumper : public BusProbe
-{
-  public:
-    explicit TraceDumper(const std::string &path) : out(path)
-    {
-        if (!out) {
-            std::cerr << "cannot open trace file: " << path << "\n";
-            std::exit(2);
-        }
-    }
-
-    void observe(const BusSnoop &snoop) override
-    {
-        out << snoop.when << ' '
-            << (snoop.dir == BusDir::ToMemory ? "toMem" : "toProc")
-            << ' ' << snoop.channel << ' ' << snoop.bytes << ' '
-            << (snoop.wireIsWrite ? 'W' : 'R') << ' ' << std::hex
-            << snoop.wireAddr << std::dec << '\n';
-    }
-
-  private:
-    std::ofstream out;
-};
 
 void
 usage(const char *argv0)
@@ -179,11 +149,20 @@ main(int argc, char **argv)
 
     System sys(cfg);
 
-    std::unique_ptr<TraceDumper> dumper;
+    // The snooped wire trace, exactly the attacker's view. CI diffs a
+    // recovery-on trace against a recovery-off trace of the same
+    // faultless run to prove the recovery layer is wire-invisible
+    // until a fault actually occurs.
+    std::ofstream trace_out;
+    WireTraceRecorder recorder;
     if (!trace_path.empty()) {
-        dumper = std::make_unique<TraceDumper>(trace_path);
+        trace_out.open(trace_path);
+        if (!trace_out) {
+            std::cerr << "cannot open trace file: " << trace_path << "\n";
+            return 2;
+        }
         for (auto &bus : sys.channelBuses())
-            bus->attachProbe(dumper.get());
+            bus->attachProbe(&recorder);
     }
 
     if (inject_drop) {
@@ -224,6 +203,8 @@ main(int argc, char **argv)
         sys.run();
     }
 
+    if (!trace_path.empty())
+        trace_out << recorder.text();
     check::TraceAuditor *auditor = sys.auditor();
     auditor->finalize();
     if (dump_stats)

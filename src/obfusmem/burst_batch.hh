@@ -58,7 +58,7 @@ class BurstBatch
      */
     struct Completion
     {
-        MemPacket pkt{};
+        MemPacket pkt;
         PacketCallback cb;
     };
 
@@ -73,33 +73,21 @@ class BurstBatch
         completions.emplace_back();
     }
 
-    /** Stage a data frame bound for `channel`, no completion. */
+    /**
+     * Stage a data frame bound for `channel`; a non-empty `done`
+     * completes a request when the frame is delivered.
+     */
     void
     stageData(unsigned channel, const crypto::Block128 &hdr_pad,
               const crypto::Block128 payload_pads[4],
               const WireHeader &hdr, const DataBlock &payload,
-              uint64_t mac_ctr)
+              uint64_t mac_ctr, Completion done = {})
     {
         OBF_DCHECK(depth > 0, "frame staged outside a burst scope");
         frames.stageDataFrame(hdr_pad, payload_pads, hdr, payload,
                               mac_ctr);
         channels.push_back(channel);
-        completions.emplace_back();
-    }
-
-    /** Stage a data frame whose delivery completes a request. */
-    void
-    stageData(unsigned channel, const crypto::Block128 &hdr_pad,
-              const crypto::Block128 payload_pads[4],
-              const WireHeader &hdr, const DataBlock &payload,
-              uint64_t mac_ctr, MemPacket pkt, PacketCallback cb)
-    {
-        OBF_DCHECK(depth > 0, "frame staged outside a burst scope");
-        frames.stageDataFrame(hdr_pad, payload_pads, hdr, payload,
-                              mac_ctr);
-        channels.push_back(channel);
-        completions.push_back(
-            Completion{std::move(pkt), std::move(cb)});
+        completions.push_back(std::move(done));
     }
 
     /**

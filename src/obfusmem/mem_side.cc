@@ -63,6 +63,23 @@ ObfusMemMemSide::ObfusMemMemSide(const std::string &name,
 }
 
 void
+ObfusMemMemSide::auditPads(CounterStream stream, uint64_t first,
+                           uint64_t count)
+{
+    if (audit) {
+        audit->onPadUse(curTick(), channel, EndpointSide::Memory, stream,
+                        first, count);
+    }
+}
+
+void
+ObfusMemMemSide::auditIncident(ChannelIncident what)
+{
+    if (audit)
+        audit->onIncident(curTick(), channel, EndpointSide::Memory, what);
+}
+
+void
 ObfusMemMemSide::receiveMessage(WireMessage msg)
 {
     // Counter discipline: first message of a group decrypts with
@@ -102,15 +119,10 @@ ObfusMemMemSide::receiveMessage(WireMessage msg)
     // (read) message burns one header pad, the second (write)
     // message burns its header pad plus the four payload pads; a
     // uniform-scheme message reserves the whole group by itself.
-    if (audit) {
-        uint64_t count = params.uniformPackets
-                             ? countersPerRequestGroup
-                             : (groupPhase == 0
-                                    ? 1
+    auditPads(CounterStream::Request, hdr_ctr,
+              params.uniformPackets ? countersPerRequestGroup
+              : groupPhase == 0     ? 1
                                     : countersPerRequestGroup - 1);
-        audit->onPadUse(curTick(), channel, EndpointSide::Memory,
-                        CounterStream::Request, hdr_ctr, count);
-    }
 
     // Advance the group phase regardless: the pads are consumed.
     if (params.uniformPackets) {
@@ -129,22 +141,14 @@ ObfusMemMemSide::receiveMessage(WireMessage msg)
         // the counters; from here on the link is cryptographically
         // dead (DoS, not data loss - paper Sec. 3.5).
         ++headerDesyncs;
-        if (audit) {
-            audit->onIncident(curTick(), channel,
-                              EndpointSide::Memory,
-                              ChannelIncident::HeaderDesync);
-        }
+        auditIncident(ChannelIncident::HeaderDesync);
         return;
     }
 
     if (params.auth) {
         if (!msg.hasMac || !mac.verify(*hdr, hdr_ctr, msg.mac)) {
             ++macFailures;
-            if (audit) {
-                audit->onIncident(curTick(), channel,
-                                  EndpointSide::Memory,
-                                  ChannelIncident::MacMismatch);
-            }
+            auditIncident(ChannelIncident::MacMismatch);
             return;
         }
     }
@@ -258,18 +262,10 @@ ObfusMemMemSide::sendReadReply(const WireHeader &req_hdr,
     OBF_DCHECK(ctr <= UINT64_MAX - countersPerReply,
                "response counter exhausted on channel ", channel);
     respCounter += countersPerReply;
-    if (audit) {
-        audit->onPadUse(curTick(), channel, EndpointSide::Memory,
-                        CounterStream::Response, ctr,
-                        countersPerReply);
-    }
+    auditPads(CounterStream::Response, ctr, countersPerReply);
 
-    WireHeader hdr;
-    hdr.cmd = MemCmd::Read;
-    hdr.addr = req_hdr.addr;
-    hdr.tag = req_hdr.tag;
-    hdr.dummy = req_hdr.dummy;
-
+    const WireHeader hdr{MemCmd::Read, req_hdr.addr, req_hdr.tag,
+                         req_hdr.dummy};
     ReplyPads pads = genReplyPads(txCipher, ctr);
     padsUsed += 5;
     replyBurst.stageData(channel, pads.header(), pads.payload(), hdr,
@@ -298,24 +294,20 @@ ObfusMemMemSide::transmitReply(WireMessage msg)
                      mutable {
                      if (fault.corrupted)
                          corruptHeaderBit(msg, fault.entropy);
-                     if (replyTarget) {
-                         // Test/tooling intercept.
-                         if (fault.duplicated) {
-                             WireMessage copy = msg;
-                             replyTarget(std::move(copy));
-                         }
-                         replyTarget(std::move(msg));
-                     } else {
-                         panic_if(!procSide,
-                                  "no reply target wired to mem side");
-                         if (fault.duplicated) {
-                             WireMessage copy = msg;
+                     // The test/tooling intercept, when set, takes
+                     // the processor side's place.
+                     panic_if(!replyTarget && !procSide,
+                              "no reply target wired to mem side");
+                     auto receive = [this](WireMessage &&m) {
+                         if (replyTarget)
+                             replyTarget(std::move(m));
+                         else
                              procSide->receiveReply(channel,
-                                                    std::move(copy));
-                         }
-                         procSide->receiveReply(channel,
-                                                std::move(msg));
-                     }
+                                                    std::move(m));
+                     };
+                     if (fault.duplicated)
+                         receive(WireMessage(msg));
+                     receive(std::move(msg));
                  });
     });
 }
@@ -337,13 +329,8 @@ ObfusMemMemSide::recoverRequestFrame(WireMessage msg)
         for (unsigned ph = 0; ph < phases; ++ph) {
             if (g == 0 && ph <= groupPhase)
                 continue; // at or behind the position that failed
-            uint64_t pos = base + ph;
-            std::optional<WireHeader> cand =
-                decryptHeader(rxCipher, pos, msg.cipherHeader);
-            if (!cand)
-                continue;
-            if (params.auth
-                && (!msg.hasMac || !mac.verify(*cand, pos, msg.mac)))
+            if (!trialDecrypt(rxCipher, base + ph, msg, mac,
+                              params.auth))
                 continue;
             resyncTo(base, ph, std::move(msg));
             return;
@@ -356,13 +343,7 @@ ObfusMemMemSide::recoverRequestFrame(WireMessage msg)
     for (unsigned g = 0; g <= rp.resyncWindowGroups; ++g) {
         uint64_t base = ctlCursor + g * countersPerRequestGroup;
         for (unsigned ph = 0; ph < 2; ++ph) {
-            uint64_t pos = base + ph;
-            std::optional<WireHeader> cand =
-                decryptHeader(ctlRx, pos, msg.cipherHeader);
-            if (!cand)
-                continue;
-            if (params.auth
-                && (!msg.hasMac || !mac.verify(*cand, pos, msg.mac)))
+            if (!trialDecrypt(ctlRx, base + ph, msg, mac, params.auth))
                 continue;
             if (msg.hasData) {
                 DataBlock plain =
@@ -383,10 +364,7 @@ ObfusMemMemSide::recoverRequestFrame(WireMessage msg)
     // 3) Unattributable: duplicate, replay, corruption, or garbage.
     // Discard without consuming a counter position.
     ++framesDiscarded;
-    if (audit) {
-        audit->onIncident(curTick(), channel, EndpointSide::Memory,
-                          ChannelIncident::FrameDiscarded);
-    }
+    auditIncident(ChannelIncident::FrameDiscarded);
 }
 
 void
@@ -399,14 +377,9 @@ ObfusMemMemSide::resyncTo(uint64_t base, unsigned phase,
     uint64_t cur = reqCounter + (groupPhase == 1 ? 1 : 0);
     uint64_t tgt = base + (phase == 1 ? 1 : 0);
     ++resyncs;
-    if (audit) {
-        audit->onIncident(curTick(), channel, EndpointSide::Memory,
-                          ChannelIncident::CounterResync);
-        if (tgt > cur) {
-            audit->onPadUse(curTick(), channel, EndpointSide::Memory,
-                            CounterStream::Request, cur, tgt - cur);
-        }
-    }
+    auditIncident(ChannelIncident::CounterResync);
+    if (tgt > cur)
+        auditPads(CounterStream::Request, cur, tgt - cur);
     reqCounter = base;
     groupPhase = phase;
     groupPadsValid = false;
@@ -425,30 +398,13 @@ ObfusMemMemSide::handleHandshakeChunk(const HandshakeChunk &chunk)
             sendHandshakeResponse();
         return;
     }
-    if (chunk.total == 0 || chunk.total > collectChunks.size()
-        || chunk.len > handshakeChunkBytes)
-        return;
-    if (collectEpoch != chunk.epoch || collectTotal != chunk.total) {
-        collectEpoch = chunk.epoch;
-        collectTotal = chunk.total;
-        collectMask = 0;
-    }
-    if (chunk.chunk >= collectTotal)
-        return;
-    collectChunks[chunk.chunk] = chunk;
-    collectMask |= 1u << chunk.chunk;
-    if (collectMask != (1u << collectTotal) - 1)
+    std::optional<std::vector<uint8_t>> pub_bytes = collect.offer(chunk);
+    if (!pub_bytes)
         return;
 
     // Full public value in hand: run our half of the exchange.
-    std::vector<uint8_t> pub_bytes;
-    for (unsigned i = 0; i < collectTotal; ++i) {
-        const HandshakeChunk &c = collectChunks[i];
-        pub_bytes.insert(pub_bytes.end(), c.data.begin(),
-                         c.data.begin() + c.len);
-    }
     crypto::BigUint peer_pub =
-        crypto::BigUint::fromBytes(pub_bytes.data(), pub_bytes.size());
+        crypto::BigUint::fromBytes(pub_bytes->data(), pub_bytes->size());
     crypto::DhEndpoint dh(crypto::DhGroup::testGroup256(), rekeyRng);
     crypto::Aes128::Key key = epochSessionKey(
         crypto::DhEndpoint::deriveSessionKey(dh.computeShared(peer_pub)),
@@ -456,23 +412,8 @@ ObfusMemMemSide::handleHandshakeChunk(const HandshakeChunk &chunk)
 
     // Stash the response payloads first so duplicates can be answered
     // verbatim later.
-    std::vector<uint8_t> my_pub = dh.publicValue().toBytes();
-    uint8_t total = static_cast<uint8_t>(
-        (my_pub.size() + handshakeChunkBytes - 1) / handshakeChunkBytes);
-    if (total == 0)
-        total = 1;
-    respPayloads.clear();
-    for (uint8_t i = 0; i < total; ++i) {
-        HandshakeChunk rc;
-        rc.epoch = chunk.epoch;
-        rc.chunk = i;
-        rc.total = total;
-        size_t off = static_cast<size_t>(i) * handshakeChunkBytes;
-        rc.len = static_cast<uint16_t>(
-            std::min(handshakeChunkBytes, my_pub.size() - off));
-        std::copy_n(my_pub.begin() + off, rc.len, rc.data.begin());
-        respPayloads.push_back(packHandshakeChunk(rc));
-    }
+    respPayloads =
+        splitHandshakeValue(chunk.epoch, dh.publicValue().toBytes());
 
     // Install the epoch key: both data-plane streams restart at
     // counter zero under the new key.
@@ -484,10 +425,7 @@ ObfusMemMemSide::handleHandshakeChunk(const HandshakeChunk &chunk)
     groupPadsValid = false;
     respCounter = 0;
     ++rekeysCompleted;
-    if (audit) {
-        audit->onIncident(curTick(), channel, EndpointSide::Memory,
-                          ChannelIncident::RekeyCompleted);
-    }
+    auditIncident(ChannelIncident::RekeyCompleted);
     sendHandshakeResponse();
 }
 
@@ -503,13 +441,10 @@ ObfusMemMemSide::sendHandshakeResponse()
         uint64_t ctr = ctlRespCounter;
         ctlRespCounter += countersPerReply;
         ReplyPads pads = genReplyPads(ctlTx, ctr);
-        WireHeader hdr;
-        hdr.cmd = MemCmd::Read;
-        hdr.addr = dummyBlockAddr;
-        hdr.tag = 0;
-        hdr.dummy = true;
         replyBurst.stageData(channel, pads.header(), pads.payload(),
-                             hdr, payload, ctr);
+                             WireHeader{MemCmd::Read, dummyBlockAddr, 0,
+                                        true},
+                             payload, ctr);
     }
 }
 

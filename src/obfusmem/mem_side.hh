@@ -139,6 +139,10 @@ class ObfusMemMemSide : public SimObject
     /** (Re)send the stored handshake response at fresh counters. */
     void sendHandshakeResponse();
 
+    /** Report a pad run / an incident to the auditor, if attached. */
+    void auditPads(CounterStream stream, uint64_t first, uint64_t count);
+    void auditIncident(ChannelIncident what);
+
     /** Push a built reply-direction frame onto the bus. */
     void transmitReply(WireMessage msg);
 
@@ -196,10 +200,7 @@ class ObfusMemMemSide : public SimObject
     /** Last re-key epoch whose key this side installed (0 = none). */
     uint32_t installedEpoch = 0;
     /** In-progress handshake-chunk collection. */
-    uint32_t collectEpoch = 0;
-    uint8_t collectTotal = 0;
-    uint32_t collectMask = 0;
-    std::array<HandshakeChunk, 8> collectChunks{};
+    HandshakeCollector collect;
     /** Stored response payloads for idempotent resends. */
     std::vector<DataBlock> respPayloads;
 

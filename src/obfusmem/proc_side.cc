@@ -90,6 +90,13 @@ ObfusMemProcSide::notifyPads(unsigned channel, CounterStream stream,
     }
 }
 
+void
+ObfusMemProcSide::notifyIncident(unsigned channel, ChannelIncident what)
+{
+    if (audit)
+        audit->onIncident(curTick(), channel, EndpointSide::Processor, what);
+}
+
 uint16_t
 ObfusMemProcSide::allocTag(ChannelState &cs)
 {
@@ -287,85 +294,24 @@ ObfusMemProcSide::sendGroup(unsigned channel, MemPacket pkt,
     // a wider scope (dispatch, drain, heartbeat) nest into its burst.
     auto scope = burstScope(burst, [this] { flushBurst(); });
     ChannelState &cs = channelState[channel];
-    uint64_t ctr = cs.reqCounter;
-    OBF_DCHECK(ctr <= UINT64_MAX - countersPerRequestGroup,
-               "request counter exhausted on channel ", channel);
-    cs.reqCounter += countersPerRequestGroup;
-    padsUsed += countersPerRequestGroup;
-    if (params.uniformPackets) {
-        notifyPads(channel, CounterStream::Request, ctr,
-                   countersPerRequestGroup);
-    } else {
-        // Split scheme: the read message burns pad ctr, the paired
-        // write burns ctr+1 (header) and ctr+2..5 (payload).
-        notifyPads(channel, CounterStream::Request, ctr, 1);
-        notifyPads(channel, CounterStream::Request, ctr + 1,
-                   countersPerRequestGroup - 1);
-    }
-
-    GroupPads pads = genGroupPads(cs.tx, ctr);
+    const bool is_read = pkt.isRead();
+    RequestGroup g;
+    // The posted-write completion rides the group's payload frame.
+    BurstBatch::Completion done;
 
     if (params.uniformPackets) {
         // One fixed-size message per request; every request expects a
-        // fixed-size reply.
-        WireHeader hdr;
-        hdr.cmd = pkt.cmd;
-        hdr.addr = pkt.addr;
-        hdr.tag = allocTag(cs);
-        const bool is_read = pkt.isRead();
-
-        DataBlock payload;
-        if (is_read) {
-            junkRng.fillBytes(payload.data(), payload.size());
-        } else {
-            payload = pkt.data;
-        }
-
-        ++cs.outstandingReads;
-        if (is_read) {
-            ++realReads;
-            PendingRead pend{std::move(pkt), std::move(cb), false};
-            pend.lastSend = curTick();
-            pend.rbFirst = hdr;
-            pend.rbPayload = payload;
-            cs.pending[hdr.tag] = std::move(pend);
-            burst.stageData(channel, pads.pad[0], &pads.pad[2], hdr,
-                            payload, ctr);
-        } else {
-            ++realWrites;
-            // The write's junk reply is discarded; completion is
-            // posted at delivery, as in the split scheme.
-            PendingRead pend{MemPacket{}, nullptr, true};
-            pend.lastSend = curTick();
-            pend.rbFirst = hdr;
-            pend.rbPayload = payload;
-            cs.pending[hdr.tag] = std::move(pend);
-            burst.stageData(channel, pads.pad[0], &pads.pad[2], hdr,
-                            payload, ctr, std::move(pkt),
-                            std::move(cb));
-        }
-        ensureWatchdog(channel);
-        return;
-    }
-
-    if (pkt.isRead()) {
-        ++realReads;
+        // fixed-size reply. The write's junk reply is discarded; its
+        // completion is posted at delivery, as in the split scheme.
+        g.first = WireHeader{pkt.cmd, pkt.addr, allocTag(cs), false};
+        if (is_read)
+            junkRng.fillBytes(g.payload.data(), g.payload.size());
+        else
+            g.payload = pkt.data;
+    } else if (is_read) {
         ++pairedDummies;
         // Message 1: the real read request.
-        WireHeader hdr;
-        hdr.cmd = MemCmd::Read;
-        hdr.addr = pkt.addr;
-        hdr.tag = allocTag(cs);
-        {
-            PendingRead pend{std::move(pkt), std::move(cb), false};
-            pend.lastSend = curTick();
-            pend.rbFirst = hdr;
-            cs.pending[hdr.tag] = std::move(pend);
-        }
-        ++cs.outstandingReads;
-
-        burst.stageHeader(channel, pads.pad[0], hdr, ctr);
-
+        g.first = WireHeader{MemCmd::Read, pkt.addr, allocTag(cs), false};
         // Message 2: the paired write. When writes are piling up, a
         // real one substitutes for the dummy - same wire pattern, no
         // wasted bandwidth (the Sec. 3.3 optimization that makes the
@@ -375,74 +321,41 @@ ObfusMemProcSide::sendGroup(unsigned channel, MemPacket pkt,
             ++pairSubstitutions;
             QueuedWrite qw = std::move(cs.writeQueue.front());
             cs.writeQueue.pop_front();
-
-            WireHeader whdr;
-            whdr.cmd = MemCmd::Write;
-            whdr.addr = qw.pkt.addr;
-            DataBlock payload = qw.pkt.data;
-            {
-                PendingRead &pend = cs.pending[hdr.tag];
-                pend.rbSecond = whdr;
-                pend.rbPayload = payload;
-            }
-            burst.stageData(channel, pads.pad[1], &pads.pad[2], whdr,
-                            payload, ctr + 1, std::move(qw.pkt),
-                            std::move(qw.cb));
-            ensureWatchdog(channel);
-            return;
+            g.second = WireHeader{MemCmd::Write, qw.pkt.addr, 0, false};
+            g.payload = qw.pkt.data;
+            done = {std::move(qw.pkt), std::move(qw.cb)};
+        } else {
+            g.second = WireHeader{MemCmd::Write,
+                                  dummyAddrFor(channel, pkt.addr), 0,
+                                  true};
+            junkRng.fillBytes(g.payload.data(), g.payload.size());
         }
-
-        WireHeader dummy_hdr;
-        dummy_hdr.cmd = MemCmd::Write;
-        dummy_hdr.addr = dummyAddrFor(channel, hdr.addr);
-        dummy_hdr.dummy = true;
-        DataBlock junk;
-        junkRng.fillBytes(junk.data(), junk.size());
-        {
-            PendingRead &pend = cs.pending[hdr.tag];
-            pend.rbSecond = dummy_hdr;
-            pend.rbPayload = junk;
-        }
-        burst.stageData(channel, pads.pad[1], &pads.pad[2], dummy_hdr,
-                        junk, ctr + 1);
-        ensureWatchdog(channel);
-        return;
+    } else {
+        // Real write: preceded by a dummy read (reads are latency
+        // critical, writes are not - paper Sec. 3.3). The payload gets
+        // a second encryption on top of the memory-encryption
+        // ciphertext: it hides temporal reuse of unmodified data
+        // (Observation 1).
+        ++pairedDummies;
+        g.first = WireHeader{MemCmd::Read,
+                             dummyAddrFor(channel, pkt.addr),
+                             allocTag(cs), true};
+        g.second = WireHeader{MemCmd::Write, pkt.addr, 0, false};
+        g.payload = pkt.data;
     }
 
-    // Real write: preceded by a dummy read (reads are latency
-    // critical, writes are not - paper Sec. 3.3). Both headers are
-    // known up front, so the two MACs are computed in one batch.
-    ++realWrites;
-    ++pairedDummies;
-    WireHeader dummy_hdr;
-    dummy_hdr.cmd = MemCmd::Read;
-    dummy_hdr.addr = dummyAddrFor(channel, pkt.addr);
-    dummy_hdr.dummy = true;
-    dummy_hdr.tag = allocTag(cs);
     ++cs.outstandingReads;
-
-    WireHeader hdr;
-    hdr.cmd = MemCmd::Write;
-    hdr.addr = pkt.addr;
-
-    {
-        PendingRead pend{MemPacket{}, nullptr, true};
-        pend.lastSend = curTick();
-        pend.rbFirst = dummy_hdr;
-        pend.rbSecond = hdr;
-        pend.rbPayload = pkt.data;
-        cs.pending[dummy_hdr.tag] = std::move(pend);
+    PendingRead pend{MemPacket{}, nullptr, !is_read, curTick(), 0, g};
+    if (is_read) {
+        ++realReads;
+        pend.pkt = std::move(pkt);
+        pend.cb = std::move(cb);
+    } else {
+        ++realWrites;
+        done = {std::move(pkt), std::move(cb)};
     }
-
-    burst.stageHeader(channel, pads.pad[0], dummy_hdr, ctr);
-
-    // Second encryption on top of the memory-encryption ciphertext:
-    // hides temporal reuse of unmodified data (Observation 1). The
-    // write is posted: its completion fires when the sealed frame has
-    // fully crossed the bus.
-    DataBlock payload = pkt.data;
-    burst.stageData(channel, pads.pad[1], &pads.pad[2], hdr, payload,
-                    ctr + 1, std::move(pkt), std::move(cb));
+    cs.pending[g.first.tag] = std::move(pend);
+    sealGroup(channel, false, g, std::move(done));
     ensureWatchdog(channel);
 }
 
@@ -452,73 +365,62 @@ ObfusMemProcSide::sendDummyGroup(unsigned channel)
     auto scope = burstScope(burst, [this] { flushBurst(); });
     ++channelFillGroups;
     ChannelState &cs = channelState[channel];
-    uint64_t ctr = cs.reqCounter;
-    OBF_DCHECK(ctr <= UINT64_MAX - countersPerRequestGroup,
-               "request counter exhausted on channel ", channel);
-    cs.reqCounter += countersPerRequestGroup;
-    padsUsed += countersPerRequestGroup;
-    if (params.uniformPackets) {
-        notifyPads(channel, CounterStream::Request, ctr,
-                   countersPerRequestGroup);
-    } else {
-        notifyPads(channel, CounterStream::Request, ctr, 1);
-        notifyPads(channel, CounterStream::Request, ctr + 1,
-                   countersPerRequestGroup - 1);
-    }
-
-    GroupPads pads = genGroupPads(cs.tx, ctr);
-
+    RequestGroup g;
     if (params.uniformPackets) {
         // One uniform dummy read message fills the channel.
-        WireHeader rd;
-        rd.cmd = MemCmd::Read;
-        rd.addr = cs.dummyAddr;
-        rd.dummy = true;
-        rd.tag = allocTag(cs);
-        ++cs.outstandingReads;
+        g.first = WireHeader{MemCmd::Read, cs.dummyAddr, allocTag(cs),
+                             true};
+    } else {
+        g.first = WireHeader{MemCmd::Read,
+                             dummyAddrFor(channel, cs.dummyAddr),
+                             allocTag(cs), true};
+        g.second = WireHeader{MemCmd::Write,
+                              dummyAddrFor(channel, cs.dummyAddr), 0,
+                              true};
+    }
+    junkRng.fillBytes(g.payload.data(), g.payload.size());
+    ++cs.outstandingReads;
+    cs.pending[g.first.tag] =
+        PendingRead{MemPacket{}, nullptr, true, curTick(), 0, g};
+    sealGroup(channel, false, g);
+    ensureWatchdog(channel);
+}
 
-        DataBlock junk;
-        junkRng.fillBytes(junk.data(), junk.size());
-        {
-            PendingRead pend{MemPacket{}, nullptr, true};
-            pend.lastSend = curTick();
-            pend.rbFirst = rd;
-            pend.rbPayload = junk;
-            cs.pending[rd.tag] = std::move(pend);
+void
+ObfusMemProcSide::sealGroup(unsigned channel, bool control,
+                            const RequestGroup &g,
+                            BurstBatch::Completion done)
+{
+    ChannelState &cs = channelState[channel];
+    uint64_t &next = control ? cs.ctlReqCounter : cs.reqCounter;
+    const uint64_t ctr = next;
+    OBF_DCHECK(ctr <= UINT64_MAX - countersPerRequestGroup,
+               "request counter exhausted on channel ", channel);
+    next += countersPerRequestGroup;
+    if (!control) {
+        // Control pads stay outside the data-plane ledgers.
+        padsUsed += countersPerRequestGroup;
+        if (params.uniformPackets) {
+            notifyPads(channel, CounterStream::Request, ctr,
+                       countersPerRequestGroup);
+        } else {
+            // Split scheme: the read message burns pad ctr, the
+            // paired write burns ctr+1 (header) and ctr+2..5 (payload).
+            notifyPads(channel, CounterStream::Request, ctr, 1);
+            notifyPads(channel, CounterStream::Request, ctr + 1,
+                       countersPerRequestGroup - 1);
         }
-        burst.stageData(channel, pads.pad[0], &pads.pad[2], rd, junk,
-                        ctr);
-        ensureWatchdog(channel);
+    }
+
+    GroupPads pads = genGroupPads(control ? cs.ctlTx : cs.tx, ctr);
+    if (params.uniformPackets) {
+        burst.stageData(channel, pads.pad[0], &pads.pad[2], g.first,
+                        g.payload, ctr, std::move(done));
         return;
     }
-
-    WireHeader rd;
-    rd.cmd = MemCmd::Read;
-    rd.addr = dummyAddrFor(channel, cs.dummyAddr);
-    rd.dummy = true;
-    rd.tag = allocTag(cs);
-    ++cs.outstandingReads;
-
-    WireHeader wr;
-    wr.cmd = MemCmd::Write;
-    wr.addr = dummyAddrFor(channel, cs.dummyAddr);
-    wr.dummy = true;
-
-    burst.stageHeader(channel, pads.pad[0], rd, ctr);
-
-    DataBlock junk;
-    junkRng.fillBytes(junk.data(), junk.size());
-    {
-        PendingRead pend{MemPacket{}, nullptr, true};
-        pend.lastSend = curTick();
-        pend.rbFirst = rd;
-        pend.rbSecond = wr;
-        pend.rbPayload = junk;
-        cs.pending[rd.tag] = std::move(pend);
-    }
-    burst.stageData(channel, pads.pad[1], &pads.pad[2], wr, junk,
-                    ctr + 1);
-    ensureWatchdog(channel);
+    burst.stageHeader(channel, pads.pad[0], g.first, ctr);
+    burst.stageData(channel, pads.pad[1], &pads.pad[2], g.second,
+                    g.payload, ctr + 1, std::move(done));
 }
 
 void
@@ -583,21 +485,19 @@ ObfusMemProcSide::deliverStaged(unsigned channel, WireMessage &&msg,
             ChannelState &cs2 = channelState[channel];
             if (fault.corrupted)
                 corruptHeaderBit(msg, fault.entropy);
-            if (cs2.toMem) {
-                // Test/tooling intercept (fault injection, capture).
-                if (fault.duplicated) {
-                    WireMessage copy = msg;
-                    cs2.toMem(std::move(copy));
-                }
-                cs2.toMem(std::move(msg));
-            } else {
-                panic_if(!cs2.memSide, "no request target wired");
-                if (fault.duplicated) {
-                    WireMessage copy = msg;
-                    cs2.memSide->receiveMessage(std::move(copy));
-                }
-                cs2.memSide->receiveMessage(std::move(msg));
-            }
+            // The test/tooling intercept (fault injection, capture),
+            // when set, takes the memory side's place.
+            panic_if(!cs2.toMem && !cs2.memSide,
+                     "no request target wired");
+            auto receive = [&cs2](WireMessage &&m) {
+                if (cs2.toMem)
+                    cs2.toMem(std::move(m));
+                else
+                    cs2.memSide->receiveMessage(std::move(m));
+            };
+            if (fault.duplicated)
+                receive(WireMessage(msg));
+            receive(std::move(msg));
             // Posted-write completion: the requester learns the write
             // crossed the bus, exactly when the far pin saw it.
             if (cb)
@@ -638,21 +538,13 @@ ObfusMemProcSide::receiveReply(unsigned channel, WireMessage &&msg)
 
     if (!hdr) {
         ++headerDesyncs;
-        if (audit) {
-            audit->onIncident(curTick(), channel,
-                              EndpointSide::Processor,
-                              ChannelIncident::HeaderDesync);
-        }
+        notifyIncident(channel, ChannelIncident::HeaderDesync);
         return;
     }
     if (params.auth) {
         if (!msg.hasMac || !mac.verify(*hdr, ctr, msg.mac)) {
             ++macFailures;
-            if (audit) {
-                audit->onIncident(curTick(), channel,
-                                  EndpointSide::Processor,
-                                  ChannelIncident::MacMismatch);
-            }
+            notifyIncident(channel, ChannelIncident::MacMismatch);
             return;
         }
     }
@@ -662,11 +554,7 @@ ObfusMemProcSide::receiveReply(unsigned channel, WireMessage &&msg)
     auto it = cs.pending.find(hdr->tag);
     if (it == cs.pending.end()) {
         ++headerDesyncs; // reply for an unknown tag
-        if (audit) {
-            audit->onIncident(curTick(), channel,
-                              EndpointSide::Processor,
-                              ChannelIncident::UnknownTag);
-        }
+        notifyIncident(channel, ChannelIncident::UnknownTag);
         return;
     }
     PendingRead pending = std::move(it->second);
@@ -767,34 +655,10 @@ ObfusMemProcSide::retransmitGroup(unsigned channel, uint16_t tag)
     // A retransmit is a brand-new group on the wire: fresh counters,
     // fresh pads, fresh MACs. Reusing the original pads would violate
     // pad freshness and hand an observer a ciphertext repeat.
-    uint64_t ctr = cs.reqCounter;
-    OBF_DCHECK(ctr <= UINT64_MAX - countersPerRequestGroup,
-               "request counter exhausted on channel ", channel);
-    cs.reqCounter += countersPerRequestGroup;
-    padsUsed += countersPerRequestGroup;
-    if (params.uniformPackets) {
-        notifyPads(channel, CounterStream::Request, ctr,
-                   countersPerRequestGroup);
-    } else {
-        notifyPads(channel, CounterStream::Request, ctr, 1);
-        notifyPads(channel, CounterStream::Request, ctr + 1,
-                   countersPerRequestGroup - 1);
-    }
-    GroupPads pads = genGroupPads(cs.tx, ctr);
-
     ++retransmits;
     p.attempts += 1;
     p.lastSend = curTick();
-
-    if (params.uniformPackets) {
-        burst.stageData(channel, pads.pad[0], &pads.pad[2], p.rbFirst,
-                        p.rbPayload, ctr);
-        return;
-    }
-
-    burst.stageHeader(channel, pads.pad[0], p.rbFirst, ctr);
-    burst.stageData(channel, pads.pad[1], &pads.pad[2], p.rbSecond,
-                    p.rbPayload, ctr + 1);
+    sealGroup(channel, false, p.group);
 }
 
 void
@@ -805,10 +669,7 @@ ObfusMemProcSide::startRekey(unsigned channel)
         return;
     cs.health = ChannelHealth::Rekeying;
     ++rekeysStarted;
-    if (audit) {
-        audit->onIncident(curTick(), channel, EndpointSide::Processor,
-                          ChannelIncident::RekeyStarted);
-    }
+    notifyIncident(channel, ChannelIncident::RekeyStarted);
     sendRekeyRequest(channel);
 }
 
@@ -829,28 +690,13 @@ ObfusMemProcSide::sendRekeyRequest(unsigned channel)
     // test group keeps the modexp cheap at simulation scale; the
     // handshake structure is group-agnostic.
     cs.rekeyEpoch += 1;
-    cs.respCollectEpoch = 0;
-    cs.respCollectTotal = 0;
-    cs.respCollectMask = 0;
+    cs.respCollect.reset();
     cs.dh = std::make_unique<crypto::DhEndpoint>(
         crypto::DhGroup::testGroup256(), rekeyRng);
 
-    std::vector<uint8_t> pub = cs.dh->publicValue().toBytes();
-    uint8_t total = static_cast<uint8_t>(
-        (pub.size() + handshakeChunkBytes - 1) / handshakeChunkBytes);
-    if (total == 0)
-        total = 1;
-    for (uint8_t i = 0; i < total; ++i) {
-        HandshakeChunk c;
-        c.epoch = cs.rekeyEpoch;
-        c.chunk = i;
-        c.total = total;
-        size_t off = static_cast<size_t>(i) * handshakeChunkBytes;
-        c.len = static_cast<uint16_t>(
-            std::min(handshakeChunkBytes, pub.size() - off));
-        std::copy_n(pub.begin() + off, c.len, c.data.begin());
-        sendControlGroup(channel, packHandshakeChunk(c));
-    }
+    for (const DataBlock &payload : splitHandshakeValue(
+             cs.rekeyEpoch, cs.dh->publicValue().toBytes()))
+        sendControlGroup(channel, payload);
     cs.rekeySentTick = curTick();
     ensureWatchdog(channel);
 }
@@ -862,35 +708,16 @@ ObfusMemProcSide::sendControlGroup(unsigned channel,
     auto scope = burstScope(burst, [this] { flushBurst(); });
     // Control frames mirror a normal request group's wire shape
     // exactly; only the key and the counter stream differ, neither of
-    // which is visible on the wire. Control pads are not reported to
-    // the auditor (they live outside the data-plane ledgers).
-    ChannelState &cs = channelState[channel];
-    uint64_t ctr = cs.ctlReqCounter;
-    cs.ctlReqCounter += countersPerRequestGroup;
-    GroupPads pads = genGroupPads(cs.ctlTx, ctr);
-
-    if (params.uniformPackets) {
-        WireHeader hdr;
-        hdr.cmd = MemCmd::Write;
-        hdr.addr = cs.dummyAddr;
-        hdr.dummy = true;
-        burst.stageData(channel, pads.pad[0], &pads.pad[2], hdr,
-                        payload, ctr);
-        return;
-    }
-
-    WireHeader rd;
-    rd.cmd = MemCmd::Read;
-    rd.addr = cs.dummyAddr;
-    rd.dummy = true;
-    WireHeader wr;
-    wr.cmd = MemCmd::Write;
-    wr.addr = cs.dummyAddr;
-    wr.dummy = true;
-
-    burst.stageHeader(channel, pads.pad[0], rd, ctr);
-    burst.stageData(channel, pads.pad[1], &pads.pad[2], wr, payload,
-                    ctr + 1);
+    // which is visible on the wire. A uniform control frame is a
+    // dummy write; a split one a dummy read/write pair.
+    const uint64_t addr = channelState[channel].dummyAddr;
+    RequestGroup g;
+    g.first = WireHeader{params.uniformPackets ? MemCmd::Write
+                                               : MemCmd::Read,
+                         addr, 0, true};
+    g.second = WireHeader{MemCmd::Write, addr, 0, true};
+    g.payload = payload;
+    sealGroup(channel, true, g);
 }
 
 void
@@ -904,19 +731,10 @@ ObfusMemProcSide::recoverReplyFrame(unsigned channel, WireMessage msg)
     // jump forward, burning the skipped pads so the ledgers merge.
     for (unsigned k = 1; k <= rp.resyncWindowGroups; ++k) {
         uint64_t pos = cs.respCounter + k * countersPerReply;
-        std::optional<WireHeader> cand =
-            decryptHeader(cs.rx, pos, msg.cipherHeader);
-        if (!cand)
-            continue;
-        if (params.auth
-            && (!msg.hasMac || !mac.verify(*cand, pos, msg.mac)))
+        if (!trialDecrypt(cs.rx, pos, msg, mac, params.auth))
             continue;
         ++resyncs;
-        if (audit) {
-            audit->onIncident(curTick(), channel,
-                              EndpointSide::Processor,
-                              ChannelIncident::CounterResync);
-        }
+        notifyIncident(channel, ChannelIncident::CounterResync);
         notifyPads(channel, CounterStream::Response, cs.respCounter,
                    pos - cs.respCounter);
         cs.respCounter = pos;
@@ -928,12 +746,7 @@ ObfusMemProcSide::recoverReplyFrame(unsigned channel, WireMessage msg)
     // reply stream.
     for (unsigned k = 0; k <= rp.resyncWindowGroups; ++k) {
         uint64_t pos = cs.ctlRespCursor + k * countersPerReply;
-        std::optional<WireHeader> cand =
-            decryptHeader(cs.ctlRx, pos, msg.cipherHeader);
-        if (!cand)
-            continue;
-        if (params.auth
-            && (!msg.hasMac || !mac.verify(*cand, pos, msg.mac)))
+        if (!trialDecrypt(cs.ctlRx, pos, msg, mac, params.auth))
             continue;
         cs.ctlRespCursor = pos + countersPerReply;
         if (msg.hasData) {
@@ -949,10 +762,7 @@ ObfusMemProcSide::recoverReplyFrame(unsigned channel, WireMessage msg)
 
     // 3) Unattributable: duplicate, replay, corruption, or garbage.
     ++framesDiscarded;
-    if (audit) {
-        audit->onIncident(curTick(), channel, EndpointSide::Processor,
-                          ChannelIncident::FrameDiscarded);
-    }
+    notifyIncident(channel, ChannelIncident::FrameDiscarded);
 }
 
 void
@@ -963,29 +773,9 @@ ObfusMemProcSide::handleControlReply(unsigned channel,
     if (cs.health != ChannelHealth::Rekeying || !cs.dh
         || chunk.epoch != cs.rekeyEpoch)
         return; // stale response from an abandoned attempt
-    if (chunk.total == 0 || chunk.total > cs.respChunks.size()
-        || chunk.len > handshakeChunkBytes)
-        return;
-    if (cs.respCollectEpoch != chunk.epoch
-        || cs.respCollectTotal != chunk.total) {
-        cs.respCollectEpoch = chunk.epoch;
-        cs.respCollectTotal = chunk.total;
-        cs.respCollectMask = 0;
-    }
-    if (chunk.chunk >= cs.respCollectTotal)
-        return;
-    cs.respChunks[chunk.chunk] = chunk;
-    cs.respCollectMask |= 1u << chunk.chunk;
-    if (cs.respCollectMask != (1u << cs.respCollectTotal) - 1)
-        return;
-
-    std::vector<uint8_t> pub_bytes;
-    for (unsigned i = 0; i < cs.respCollectTotal; ++i) {
-        const HandshakeChunk &c = cs.respChunks[i];
-        pub_bytes.insert(pub_bytes.end(), c.data.begin(),
-                         c.data.begin() + c.len);
-    }
-    finishRekey(channel, pub_bytes);
+    if (std::optional<std::vector<uint8_t>> pub =
+            cs.respCollect.offer(chunk))
+        finishRekey(channel, *pub);
 }
 
 void
@@ -1012,10 +802,7 @@ ObfusMemProcSide::finishRekey(unsigned channel,
     cs.rekeyAttempts = 0;
     cs.health = ChannelHealth::Active;
     ++rekeysCompleted;
-    if (audit) {
-        audit->onIncident(curTick(), channel, EndpointSide::Processor,
-                          ChannelIncident::RekeyCompleted);
-    }
+    notifyIncident(channel, ChannelIncident::RekeyCompleted);
 
     // Every outstanding group predates the new epoch; replay each at
     // the new counters, in deterministic tag order.
@@ -1050,10 +837,7 @@ ObfusMemProcSide::quarantineChannel(unsigned channel)
         return;
     cs.health = ChannelHealth::Quarantined;
     ++quarantines;
-    if (audit) {
-        audit->onIncident(curTick(), channel, EndpointSide::Processor,
-                          ChannelIncident::ChannelQuarantined);
-    }
+    notifyIncident(channel, ChannelIncident::ChannelQuarantined);
     warn("obfusmem: channel ", channel, " quarantined after ",
          cs.rekeyAttempts, " failed re-key attempts");
     // Fail everything queued or in flight; the channel is dead.

@@ -161,6 +161,19 @@ class ObfusMemProcSide : public SimObject, public MemSink
         Quarantined, ///< re-key failed repeatedly; out of service
     };
 
+    /**
+     * Plaintext of one request group: the first (read) message's
+     * header, the second (write) message's header and the 64-byte
+     * payload the group carries. Under uniform packets the group is
+     * the single frame `first` + `payload`.
+     */
+    struct RequestGroup
+    {
+        WireHeader first{};
+        WireHeader second{};
+        DataBlock payload{};
+    };
+
     struct PendingRead
     {
         MemPacket pkt;
@@ -168,16 +181,13 @@ class ObfusMemProcSide : public SimObject, public MemSink
         bool dummy = false;
         /**
          * Retry state: when and how often the group was (re)sent, and
-         * its plaintext contents so it can be rebuilt verbatim at
-         * fresh counters (retransmits must never reuse a pad).
+         * its plaintext so it can be re-sealed verbatim at fresh
+         * counters (retransmits must never reuse a pad).
          */
         Tick lastSend = 0;
         unsigned attempts = 0;
-        /** Plaintext headers/payload held for rebuild: secret until
-         * re-encrypted at fresh counters. */
-        OBF_SECRET WireHeader rbFirst{};
-        OBF_SECRET WireHeader rbSecond{};
-        OBF_SECRET DataBlock rbPayload{};
+        /** Secret until re-sealed at fresh counters. */
+        OBF_SECRET RequestGroup group{};
     };
 
     /** A write group waiting in the controller's write buffer. */
@@ -226,11 +236,8 @@ class ObfusMemProcSide : public SimObject, public MemSink
         unsigned rekeyAttempts = 0;
         Tick rekeySentTick = 0;
         std::unique_ptr<crypto::DhEndpoint> dh;
-        /** Response-chunk collection for the current epoch. */
-        uint32_t respCollectEpoch = 0;
-        uint8_t respCollectTotal = 0;
-        uint32_t respCollectMask = 0;
-        std::array<HandshakeChunk, 8> respChunks{};
+        /** Response-chunk collection for the current attempt. */
+        HandshakeCollector respCollect;
         /** Requests held while the channel re-keys. */
         std::deque<QueuedWrite> rekeyHold;
     };
@@ -256,6 +263,17 @@ class ObfusMemProcSide : public SimObject, public MemSink
     /** Send an all-dummy group (inter-channel fill). */
     void sendDummyGroup(unsigned channel);
 
+    /**
+     * The one path from a plaintext group to the wire: reserve the
+     * group's six counters on the data (`tx`) or control (`ctlTx`)
+     * stream, account data-plane pads, generate the pads and stage
+     * the group as one uniform frame or a read/write pair. `done`
+     * rides the payload frame (posted-write completion).
+     */
+    void sealGroup(unsigned channel, bool control,
+                   const RequestGroup &group,
+                   BurstBatch::Completion done = {});
+
     /** Inject dummies on other channels per the configured scheme. */
     void injectChannelDummies(unsigned active_channel);
 
@@ -280,7 +298,7 @@ class ObfusMemProcSide : public SimObject, public MemSink
     /** One watchdog period: retransmit overdue groups, escalate. */
     void watchdogTick(unsigned channel);
 
-    /** Rebuild and resend a pending group at fresh counters. */
+    /** Re-seal a pending group at fresh counters. */
     void retransmitGroup(unsigned channel, uint16_t tag);
 
     /** Retries exhausted: renegotiate the channel's session key. */
@@ -311,9 +329,10 @@ class ObfusMemProcSide : public SimObject, public MemSink
     /** Give up on a channel after repeated re-key failures. */
     void quarantineChannel(unsigned channel);
 
-    /** Report a request-stream pad run to the auditor, if attached. */
+    /** Report a pad run / an incident to the auditor, if attached. */
     void notifyPads(unsigned channel, CounterStream stream,
                     uint64_t first, uint64_t count);
+    void notifyIncident(unsigned channel, ChannelIncident what);
 
     ObfusMemParams params;
     const AddressMap &addrMap;

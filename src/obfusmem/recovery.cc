@@ -69,4 +69,15 @@ epochSessionKey(OBF_SECRET const crypto::Aes128::Key &dh_key,
     return key;
 }
 
+std::optional<WireHeader>
+trialDecrypt(const crypto::AesCtr &stream, uint64_t pos,
+             const WireMessage &msg, const MacEngine &mac, bool auth)
+{
+    std::optional<WireHeader> hdr =
+        decryptHeader(stream, pos, msg.cipherHeader);
+    if (hdr && auth && (!msg.hasMac || !mac.verify(*hdr, pos, msg.mac)))
+        return std::nullopt;
+    return hdr;
+}
+
 } // namespace obfusmem

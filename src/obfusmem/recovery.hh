@@ -29,8 +29,11 @@
 #define OBFUSMEM_OBFUSMEM_RECOVERY_HH
 
 #include <cstdint>
+#include <optional>
 
 #include "crypto/aes128.hh"
+#include "obfusmem/mac_engine.hh"
+#include "obfusmem/wire_format.hh"
 #include "sim/types.hh"
 #include "util/secret.hh"
 
@@ -81,6 +84,18 @@ controlKeyFor(OBF_SECRET const crypto::Aes128::Key &session);
 OBF_SECRET crypto::Aes128::Key
 epochSessionKey(OBF_SECRET const crypto::Aes128::Key &dh_key,
                 uint32_t epoch, unsigned channel);
+
+/**
+ * One probe of a resync or control-plane trial window: decrypt the
+ * frame's header at counter `pos` of `stream` and, when `auth`,
+ * verify its MAC at that position. Each receiver scans its own
+ * windows and phases through this single step.
+ * @return the header on a verified hit, nullopt otherwise.
+ */
+std::optional<WireHeader> trialDecrypt(const crypto::AesCtr &stream,
+                                       uint64_t pos,
+                                       const WireMessage &msg,
+                                       const MacEngine &mac, bool auth);
 
 } // namespace obfusmem
 

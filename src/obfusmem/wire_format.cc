@@ -6,6 +6,9 @@
 #include "obfusmem/wire_format.hh"
 
 #include <algorithm>
+#include <iterator>
+
+#include "util/assert.hh"
 
 namespace obfusmem {
 
@@ -256,6 +259,52 @@ unpackHandshakeChunk(const DataBlock &b)
         return std::nullopt;
     std::copy_n(b.data() + 10, handshakeChunkBytes, c.data.data());
     return c;
+}
+
+std::vector<DataBlock>
+splitHandshakeValue(uint32_t epoch, const std::vector<uint8_t> &value)
+{
+    const size_t total = std::max<size_t>(
+        1, (value.size() + handshakeChunkBytes - 1) / handshakeChunkBytes);
+    OBF_DCHECK(total <= HandshakeCollector::maxChunks,
+               "handshake value of ", value.size(), " bytes is too long");
+    std::vector<DataBlock> payloads;
+    payloads.reserve(total);
+    for (size_t i = 0; i < total; ++i) {
+        HandshakeChunk c;
+        c.epoch = epoch;
+        c.chunk = static_cast<uint8_t>(i);
+        c.total = static_cast<uint8_t>(total);
+        const size_t off = i * handshakeChunkBytes;
+        c.len = static_cast<uint16_t>(
+            std::min(handshakeChunkBytes, value.size() - off));
+        std::copy_n(value.begin() + off, c.len, c.data.begin());
+        payloads.push_back(packHandshakeChunk(c));
+    }
+    return payloads;
+}
+
+std::optional<std::vector<uint8_t>>
+HandshakeCollector::offer(const HandshakeChunk &c)
+{
+    if (c.total == 0 || c.total > maxChunks || c.chunk >= c.total
+        || c.len > handshakeChunkBytes)
+        return std::nullopt;
+    if (epoch != c.epoch || total != c.total) {
+        epoch = c.epoch;
+        total = c.total;
+        mask = 0;
+    }
+    chunks[c.chunk] = c;
+    mask |= 1u << c.chunk;
+    if (mask != (1u << total) - 1)
+        return std::nullopt;
+
+    std::vector<uint8_t> value;
+    for (unsigned i = 0; i < total; ++i)
+        std::copy_n(chunks[i].data.begin(), chunks[i].len,
+                    std::back_inserter(value));
+    return value;
 }
 
 } // namespace obfusmem

@@ -268,10 +268,52 @@ constexpr size_t handshakeChunkBytes = 54;
 DataBlock packHandshakeChunk(const HandshakeChunk &c);
 
 /**
- * Parse a payload as a handshake chunk.
+ * Parse a payload as a handshake chunk. The payload was decrypted
+ * inside the trust boundary, but what a chunk carries is a DH public
+ * value and its framing: public by design.
  * @return chunk, or nullopt if the block is not a plausible chunk.
  */
-std::optional<HandshakeChunk> unpackHandshakeChunk(const DataBlock &b);
+OBF_PUBLIC std::optional<HandshakeChunk>
+unpackHandshakeChunk(const DataBlock &b);
+
+/**
+ * Split a handshake value (a DH public value) into packed chunk
+ * payloads for `epoch`, in chunk order. An empty value still yields
+ * one (empty) chunk.
+ */
+std::vector<DataBlock>
+splitHandshakeValue(uint32_t epoch,
+                    OBF_PUBLIC const std::vector<uint8_t> &value);
+
+/**
+ * Reassembles one handshake value from chunks arriving in any order,
+ * duplicates included. A chunk of a different epoch or chunk count
+ * restarts the collection; a malformed chunk is rejected without
+ * touching the collected state. Both endpoints keep their own epoch
+ * and health guards in front of offer().
+ */
+class HandshakeCollector
+{
+  public:
+    /** Most chunks one value may span. */
+    static constexpr unsigned maxChunks = 8;
+
+    /**
+     * Offer a chunk.
+     * @return the reassembled value once every chunk of the current
+     *         collection is in, nullopt otherwise.
+     */
+    std::optional<std::vector<uint8_t>> offer(const HandshakeChunk &c);
+
+    /** Forget any partial collection. */
+    void reset() { *this = HandshakeCollector(); }
+
+  private:
+    uint32_t epoch = 0;
+    uint8_t total = 0;
+    uint32_t mask = 0;
+    std::array<HandshakeChunk, maxChunks> chunks{};
+};
 
 } // namespace obfusmem
 

@@ -1,12 +1,12 @@
 /**
  * @file
  * Parallel sweep runner: run a batch of independent simulations
- * across a thread pool and collect results in submission order.
+ * on a WorkerGroup and collect results in submission order.
  *
  * Determinism contract: every job builds its own self-contained
  * System (own EventQueue, own Random instances seeded from the
  * config), so a sweep produces *bit-identical* results whether it
- * runs serially or on N threads — the pool only changes wall-clock
+ * runs serially or on N threads — the workers only change wall-clock
  * time, never simulated outcomes. This invariant is enforced by
  * tests/test_runner.cc.
  */
@@ -14,11 +14,13 @@
 #ifndef OBFUSMEM_RUNNER_SWEEP_HH
 #define OBFUSMEM_RUNNER_SWEEP_HH
 
+#include <algorithm>
+#include <atomic>
 #include <exception>
 #include <type_traits>
 #include <vector>
 
-#include "runner/thread_pool.hh"
+#include "runner/worker_group.hh"
 #include "system/system.hh"
 
 namespace obfusmem {
@@ -27,7 +29,7 @@ namespace runner {
 /**
  * Job count from the OBFUSMEM_BENCH_JOBS environment knob.
  *
- * Unset, empty or 1 selects the serial path (no pool, no threads —
+ * Unset, empty or 1 selects the serial path (no worker threads —
  * the historical behavior). "0" means "one job per hardware thread".
  * The value is read once and cached.
  */
@@ -40,9 +42,10 @@ unsigned jobsFromEnv();
  * With jobs <= 1 (or fewer than two items) this degenerates to a
  * plain serial loop on the calling thread. The result type must be
  * default-constructible (the output vector is pre-sized so each job
- * writes its own slot without synchronization). The first exception
- * thrown by any job is rethrown on the calling thread after all jobs
- * finish.
+ * writes its own slot without synchronization). Otherwise one
+ * WorkerGroup round of min(jobs, n) workers claims indices from an
+ * atomic counter. The exception of the lowest failing index is
+ * rethrown on the calling thread after all jobs finish.
  */
 template <typename Fn>
 auto
@@ -59,19 +62,18 @@ parallelIndexMap(size_t n, unsigned jobs, Fn &&fn)
     }
 
     std::vector<std::exception_ptr> errors(n);
-    {
-        ThreadPool pool(jobs);
-        for (size_t i = 0; i < n; ++i) {
-            pool.submit([&fn, &results, &errors, i] {
-                try {
-                    results[i] = fn(i);
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                }
-            });
+    std::atomic<size_t> next{0};
+    WorkerGroup workers(
+        static_cast<unsigned>(std::min<size_t>(jobs, n)));
+    workers.runRound([&](unsigned) {
+        for (size_t i = next++; i < n; i = next++) {
+            try {
+                results[i] = fn(i);
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
         }
-        pool.wait();
-    }
+    });
     for (auto &err : errors) {
         if (err)
             std::rethrow_exception(err);

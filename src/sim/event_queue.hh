@@ -21,7 +21,7 @@
 #include <queue>
 #include <vector>
 
-#include "sim/inline_callback.hh"
+#include "sim/inline_function.hh"
 #include "sim/types.hh"
 #include "util/stats.hh"
 

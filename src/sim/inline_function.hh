@@ -1,11 +1,13 @@
 /**
  * @file
- * InlineFunction: InlineCallback generalized to arbitrary call
- * signatures. Same contract — move-only, type-erased, capture stored
- * in fixed inline bytes with no heap fallback — so hot-path
- * continuations (counter-fetch waiters, Merkle-walk resumptions) stop
- * paying a std::function allocation per hop and oversized captures
- * fail the build instead of silently regressing.
+ * InlineFunction: a move-only, type-erased callable whose capture is
+ * stored in fixed inline bytes with no heap fallback. The event
+ * kernel keeps its callbacks (InlineCallback, the void() case) inside
+ * pooled event nodes, which is what makes schedule()/step()
+ * allocation-free at steady state; hot-path continuations
+ * (counter-fetch waiters, Merkle-walk resumptions) use other
+ * signatures. An oversized capture fails the build instead of
+ * silently reintroducing an allocation per hop.
  */
 
 #ifndef OBFUSMEM_SIM_INLINE_FUNCTION_HH
@@ -133,6 +135,10 @@ class InlineFunction<R(Args...), Capacity>
     alignas(std::max_align_t) unsigned char storage[Capacity];
     const VTable *vt = nullptr;
 };
+
+/** The event kernel's callback: an InlineFunction taking nothing. */
+template <std::size_t Capacity>
+using InlineCallback = InlineFunction<void(), Capacity>;
 
 } // namespace obfusmem
 

@@ -5,7 +5,7 @@
 
 #include "sim/sharded_kernel.hh"
 
-#include "runner/thread_pool.hh"
+#include "runner/worker_group.hh"
 #include "util/env.hh"
 
 namespace obfusmem {

@@ -129,9 +129,11 @@ class TenantDriver
 };
 
 /**
- * Passive per-socket wire recorder in the audit tool's trace format
- * (`when dir channel bytes W/R hexaddr`); the determinism CI leg
- * byte-compares dumps across shard counts.
+ * Passive wire recorder, the one writer of the wire-trace format:
+ * a `when dir channel bytes W/R hexaddr` line per snooped message,
+ * exactly the attacker's view. obfus_audit --dump-trace writes one
+ * for a System; the rack keeps one per socket, and the determinism
+ * CI leg byte-compares those dumps across shard counts.
  */
 class WireTraceRecorder : public BusProbe
 {

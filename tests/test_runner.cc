@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the parallel sweep runner: thread-pool mechanics,
- * ordered results, and the central invariant that a parallel sweep
+ * Tests for the parallel sweep runner: ordered results, error
+ * propagation, and the central invariant that a parallel sweep
  * is bit-identical to a serial one (each job's System is fully
  * self-contained, so thread interleaving must not leak into
  * simulated results).
@@ -12,47 +12,13 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "runner/sweep.hh"
-#include "runner/thread_pool.hh"
 #include "system/system.hh"
 
 using namespace obfusmem;
 using namespace obfusmem::runner;
-
-TEST(ThreadPool, RunsEverySubmittedJob)
-{
-    ThreadPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIsReusable)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-    pool.submit([&count] { ++count; });
-    pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ThreadPool, DestructorDrainsQueue)
-{
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(3);
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&count] { ++count; });
-    }
-    EXPECT_EQ(count.load(), 50);
-}
 
 TEST(ParallelIndexMap, ResultsComeBackInIndexOrder)
 {
@@ -83,6 +49,29 @@ TEST(ParallelIndexMap, PropagatesExceptions)
     };
     EXPECT_THROW(parallelIndexMap(10, 4, boom), std::runtime_error);
     EXPECT_THROW(parallelIndexMap(10, 1, boom), std::runtime_error);
+}
+
+TEST(ParallelIndexMap, RethrowsTheLowestFailingIndex)
+{
+    // Every job runs even after a failure, and the error reported is
+    // the lowest index's whatever order the workers finished in.
+    std::atomic<int> ran{0};
+    auto boom = [&ran](size_t i) -> int {
+        ++ran;
+        if (i == 3 || i == 11)
+            throw std::runtime_error("job " + std::to_string(i));
+        return 0;
+    };
+    for (unsigned jobs : {2u, 4u}) {
+        ran = 0;
+        try {
+            parallelIndexMap(16, jobs, boom);
+            FAIL() << "no exception";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "job 3");
+        }
+        EXPECT_EQ(ran.load(), 16);
+    }
 }
 
 namespace {

@@ -14,7 +14,7 @@
 
 #include "sim/clock.hh"
 #include "sim/event_queue.hh"
-#include "sim/inline_callback.hh"
+#include "sim/inline_function.hh"
 
 using namespace obfusmem;
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -399,9 +401,9 @@ TEST(BurstBatch, DeliversInStageOrderWithCompletions)
                 MemPacket pkt;
                 pkt.addr = wr.addr;
                 burst.stageData(2, pads[0], &pads[1], wr, payload, ctr,
-                                pkt, [&](MemPacket &&done) {
-                                    completedAddr = done.addr;
-                                });
+                                {pkt, [&](MemPacket &&done) {
+                                     completedAddr = done.addr;
+                                 }});
             }
             expect.push_back(
                 makeDataMessage(pads[0], &pads[1], wr, payload));
@@ -455,3 +457,141 @@ TEST(BurstBatchDeathTest, StageOutsideScopePanics)
                  "outside a burst scope");
 }
 #endif
+
+namespace {
+
+/** A handshake value of `len` bytes, distinct per `seed`. */
+std::vector<uint8_t>
+handshakeValue(size_t len, uint8_t seed = 1)
+{
+    std::vector<uint8_t> v(len);
+    for (size_t i = 0; i < len; ++i)
+        v[i] = static_cast<uint8_t>(seed * 31 + i);
+    return v;
+}
+
+/** Split a value and parse every payload back into its chunk. */
+std::vector<HandshakeChunk>
+chunksOf(uint32_t epoch, const std::vector<uint8_t> &value)
+{
+    std::vector<HandshakeChunk> out;
+    for (const DataBlock &b : splitHandshakeValue(epoch, value)) {
+        std::optional<HandshakeChunk> c = unpackHandshakeChunk(b);
+        EXPECT_TRUE(c.has_value());
+        if (c)
+            out.push_back(*c);
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(HandshakeCodec, SplitThenReassembleInOrder)
+{
+    // Empty, one, two and three chunks, including exact multiples of
+    // the chunk size.
+    for (size_t len : {0, 1, 32, 54, 55, 108, 109, 150, 162}) {
+        const std::vector<uint8_t> value = handshakeValue(len);
+        const std::vector<HandshakeChunk> chunks = chunksOf(7, value);
+        const size_t total = std::max<size_t>(
+            1, (len + handshakeChunkBytes - 1) / handshakeChunkBytes);
+        ASSERT_EQ(chunks.size(), total) << len;
+        HandshakeCollector col;
+        for (size_t i = 0; i < total; ++i) {
+            EXPECT_EQ(chunks[i].epoch, 7u);
+            EXPECT_EQ(chunks[i].chunk, i);
+            EXPECT_EQ(chunks[i].total, total);
+            std::optional<std::vector<uint8_t>> got = col.offer(chunks[i]);
+            if (i + 1 < total) {
+                EXPECT_FALSE(got) << len << " chunk " << i;
+            } else {
+                ASSERT_TRUE(got) << len;
+                EXPECT_EQ(*got, value) << len;
+            }
+        }
+    }
+}
+
+TEST(HandshakeCodec, ReassemblesOutOfOrderAndThroughDuplicates)
+{
+    const std::vector<uint8_t> three = handshakeValue(150);
+    const std::vector<HandshakeChunk> c3 = chunksOf(9, three);
+    ASSERT_EQ(c3.size(), 3u);
+    HandshakeCollector col;
+    EXPECT_FALSE(col.offer(c3[2]));
+    EXPECT_FALSE(col.offer(c3[2]));
+    EXPECT_FALSE(col.offer(c3[0]));
+    EXPECT_FALSE(col.offer(c3[0]));
+    std::optional<std::vector<uint8_t>> got = col.offer(c3[1]);
+    ASSERT_TRUE(got);
+    EXPECT_EQ(*got, three);
+
+    const std::vector<uint8_t> two = handshakeValue(100, 2);
+    const std::vector<HandshakeChunk> c2 = chunksOf(10, two);
+    ASSERT_EQ(c2.size(), 2u);
+    EXPECT_FALSE(col.offer(c2[1]));
+    EXPECT_FALSE(col.offer(c2[1]));
+    got = col.offer(c2[0]);
+    ASSERT_TRUE(got);
+    EXPECT_EQ(*got, two);
+}
+
+TEST(HandshakeCodec, MalformedChunksAreRejectedWithoutTouchingState)
+{
+    const std::vector<uint8_t> value = handshakeValue(100);
+    const std::vector<HandshakeChunk> c = chunksOf(4, value);
+    ASSERT_EQ(c.size(), 2u);
+
+    // Each malformed variant is offered both inside the collection in
+    // progress (epoch 4) and as a would-be restart (epoch 5); either
+    // way the epoch-4 collection must still complete afterwards.
+    for (uint32_t epoch : {4u, 5u}) {
+        HandshakeChunk zero_total = c[1];
+        zero_total.total = 0;
+        HandshakeChunk too_many = c[1];
+        too_many.total = HandshakeCollector::maxChunks + 1;
+        HandshakeChunk past_end = c[1];
+        past_end.chunk = past_end.total;
+        HandshakeChunk too_long = c[1];
+        too_long.len = handshakeChunkBytes + 1;
+        for (HandshakeChunk bad :
+             {zero_total, too_many, past_end, too_long}) {
+            bad.epoch = epoch;
+            HandshakeCollector col;
+            EXPECT_FALSE(col.offer(c[0]));
+            EXPECT_FALSE(col.offer(bad));
+            std::optional<std::vector<uint8_t>> got = col.offer(c[1]);
+            ASSERT_TRUE(got) << "epoch " << epoch << " total "
+                             << unsigned(bad.total) << " chunk "
+                             << unsigned(bad.chunk) << " len "
+                             << bad.len;
+            EXPECT_EQ(*got, value);
+        }
+    }
+}
+
+TEST(HandshakeCodec, EpochChangeMidCollectionRestarts)
+{
+    const std::vector<uint8_t> old_value = handshakeValue(150, 1);
+    const std::vector<uint8_t> new_value = handshakeValue(150, 2);
+    const std::vector<HandshakeChunk> a = chunksOf(1, old_value);
+    const std::vector<HandshakeChunk> b = chunksOf(2, new_value);
+    ASSERT_EQ(a.size(), 3u);
+    ASSERT_EQ(b.size(), 3u);
+
+    HandshakeCollector col;
+    EXPECT_FALSE(col.offer(a[0]));
+    EXPECT_FALSE(col.offer(a[1]));
+    // Epoch 2's last chunk must not complete epoch 1's partial value.
+    EXPECT_FALSE(col.offer(b[2]));
+    EXPECT_FALSE(col.offer(b[0]));
+    std::optional<std::vector<uint8_t>> got = col.offer(b[1]);
+    ASSERT_TRUE(got);
+    EXPECT_EQ(*got, new_value);
+
+    // reset() forgets a partial collection the same way.
+    EXPECT_FALSE(col.offer(a[0]));
+    EXPECT_FALSE(col.offer(a[1]));
+    col.reset();
+    EXPECT_FALSE(col.offer(a[2]));
+}
