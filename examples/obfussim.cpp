@@ -20,7 +20,6 @@
 #include <iostream>
 #include <string>
 
-#include "system/oblivious_backend.hh"
 #include "system/system.hh"
 
 using namespace obfusmem;
@@ -91,7 +90,7 @@ main(int argc, char **argv)
             return 0;
         } else if (arg == "--mode") {
             std::string m = next();
-            const ObliviousBackendInfo *info = backendInfoByName(m);
+            const BackendInfo *info = backendInfoByName(m);
             if (!info) {
                 std::string names;
                 for (const auto &row : allBackendInfos())

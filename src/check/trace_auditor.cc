@@ -5,7 +5,6 @@
 
 #include "check/trace_auditor.hh"
 
-#include <bit>
 #include <iterator>
 #include <ostream>
 #include <sstream>
@@ -44,7 +43,8 @@ operator<<(std::ostream &os, const Violation &v)
 }
 
 TraceAuditor::TraceAuditor(const Params &params_)
-    : params(params_), chans(params_.channels)
+    : params(params_), chans(params_.channels),
+      buckets(params_.channels, params_.bucketTicks)
 {
     OBF_ASSERT(params.channels > 0, "auditor needs >= 1 channel");
     OBF_ASSERT(params.bucketTicks > 0, "bucketTicks must be nonzero");
@@ -149,20 +149,6 @@ TraceAuditor::checkFreshness(ChannelAudit &ca, const BusSnoop &snoop)
 }
 
 void
-TraceAuditor::rolloverBucket(uint64_t new_bucket)
-{
-    if (currentBucketMask != 0) {
-        ++activeBuckets;
-        if (std::popcount(currentBucketMask) == 1
-            && params.channels > 1) {
-            ++soloBuckets;
-        }
-    }
-    currentBucketMask = 0;
-    currentBucket = new_bucket;
-}
-
-void
 TraceAuditor::observe(const BusSnoop &snoop)
 {
     if (snoop.channel >= chans.size())
@@ -170,14 +156,11 @@ TraceAuditor::observe(const BusSnoop &snoop)
     ++messages;
     ChannelAudit &ca = chans[snoop.channel];
 
-    uint64_t bucket = snoop.when / params.bucketTicks;
-    if (bucket != currentBucket)
-        rolloverBucket(bucket);
-    if (snoop.dir == BusDir::ToMemory)
-        currentBucketMask |= 1u << snoop.channel;
-
-    if (snoop.dir == BusDir::ToMemory)
+    buckets.advance(snoop.when);
+    if (snoop.dir == BusDir::ToMemory) {
+        buckets.mark(snoop.channel);
         checkPairing(ca, snoop);
+    }
     checkLength(ca, snoop);
     checkFreshness(ca, snoop);
 }
@@ -264,23 +247,6 @@ uint64_t
 TraceAuditor::violationCountFor(Invariant invariant) const
 {
     return invariantCounts[static_cast<size_t>(invariant)];
-}
-
-double
-TraceAuditor::soloBucketFraction() const
-{
-    uint64_t active = activeBuckets;
-    uint64_t solo = soloBuckets;
-    if (currentBucketMask != 0) {
-        ++active;
-        if (std::popcount(currentBucketMask) == 1
-            && params.channels > 1) {
-            ++solo;
-        }
-    }
-    if (active == 0)
-        return 0.0;
-    return static_cast<double>(solo) / static_cast<double>(active);
 }
 
 bool

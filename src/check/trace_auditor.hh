@@ -174,7 +174,7 @@ class TraceAuditor : public BusProbe, public AuditHook
     uint64_t toleratedIncidents() const { return tolerated; }
 
     /** Fraction of active buckets with exactly one busy channel. */
-    double soloBucketFraction() const;
+    double soloBucketFraction() const { return buckets.soloFraction(); }
 
     /**
      * Render a structured report.
@@ -217,7 +217,6 @@ class TraceAuditor : public BusProbe, public AuditHook
     void checkPairing(ChannelAudit &ca, const BusSnoop &snoop);
     void checkLength(ChannelAudit &ca, const BusSnoop &snoop);
     void checkFreshness(ChannelAudit &ca, const BusSnoop &snoop);
-    void rolloverBucket(uint64_t new_bucket);
 
     Params params;
     std::vector<ChannelAudit> chans;
@@ -228,10 +227,8 @@ class TraceAuditor : public BusProbe, public AuditHook
     uint64_t messages = 0;
     uint64_t tolerated = 0;
 
-    uint64_t currentBucket = 0;
-    uint32_t currentBucketMask = 0;
-    uint64_t activeBuckets = 0;
-    uint64_t soloBuckets = 0;
+    /** Only to-memory messages count as channel activity. */
+    SoloBucketMeter buckets;
     bool finalized = false;
 };
 

@@ -10,6 +10,8 @@
 #ifndef OBFUSMEM_MEM_CHANNEL_BUS_HH
 #define OBFUSMEM_MEM_CHANNEL_BUS_HH
 
+#include <bit>
+#include <cstdint>
 #include <deque>
 #include <functional>
 
@@ -39,6 +41,64 @@ class BusProbe
   public:
     virtual ~BusProbe() = default;
     virtual void observe(const BusSnoop &snoop) = 0;
+};
+
+/**
+ * Inter-channel activity over fixed time buckets: the fraction of
+ * active buckets in which exactly one channel carried traffic. A probe
+ * calls advance() for every message it sees and mark() for the
+ * messages its own rule counts as channel activity.
+ */
+class SoloBucketMeter
+{
+  public:
+    SoloBucketMeter(unsigned channels_, Tick bucket_ticks)
+        : channels(channels_), bucketTicks(bucket_ticks)
+    {
+    }
+
+    /** Close the open bucket when `when` falls in a later one. */
+    void advance(Tick when)
+    {
+        uint64_t next = when / bucketTicks;
+        if (next == bucket)
+            return;
+        if (mask != 0) {
+            ++active;
+            solo += isSolo(mask);
+        }
+        mask = 0;
+        bucket = next;
+    }
+
+    /** Count `channel` as busy in the open bucket. */
+    void mark(unsigned channel) { mask |= 1u << channel; }
+
+    /** Solo fraction over the active buckets, the open one included. */
+    double soloFraction() const
+    {
+        uint64_t a = active;
+        uint64_t s = solo;
+        if (mask != 0) {
+            ++a;
+            s += isSolo(mask);
+        }
+        return a == 0 ? 0.0
+                      : static_cast<double>(s) / static_cast<double>(a);
+    }
+
+  private:
+    bool isSolo(uint32_t m) const
+    {
+        return std::popcount(m) == 1 && channels > 1;
+    }
+
+    unsigned channels;
+    Tick bucketTicks;
+    uint64_t bucket = 0;
+    uint32_t mask = 0;
+    uint64_t active = 0;
+    uint64_t solo = 0;
 };
 
 class FaultInjector;

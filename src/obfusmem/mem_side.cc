@@ -91,17 +91,12 @@ ObfusMemMemSide::receiveMessage(WireMessage msg)
     OBF_DCHECK(reqCounter <= UINT64_MAX - countersPerRequestGroup,
                "request counter exhausted on channel ", channel);
 
-    // Stage the whole group's pads when its first message arrives;
-    // the second message reuses the staging. A counter skew
-    // (skewRequestCounter) drops the staging so desync behaves
-    // exactly as pad-by-pad generation would.
-    if (groupPhase == 0 || !groupPadsValid) {
-        rxCipher.genPads(reqCounter, groupPads.data(), groupPads.size());
-        groupPadsValid = true;
-    }
-
+    // Pads are generated per message, none kept between messages:
+    // the header pad here, the payload pads below only when the frame
+    // carries data.
+    const uint64_t group_base = reqCounter;
     std::optional<WireHeader> hdr =
-        decryptHeaderWithPad(groupPads[groupPhase], msg.cipherHeader);
+        decryptHeader(rxCipher, hdr_ctr, msg.cipherHeader);
 
     if (!hdr && params.recovery.enabled) {
         // An unattributable frame must not consume a counter position
@@ -155,10 +150,10 @@ ObfusMemMemSide::receiveMessage(WireMessage msg)
 
     DataBlock plain_data{};
     if (msg.hasData) {
-        // Payload pads 2..5 of the (possibly just-completed) group the
-        // cache still holds.
-        plain_data = cryptPayloadWithPads(&groupPads[2],
-                                          msg.cipherData);
+        // Payload pads 2..5 of this message's group, which the counter
+        // may already have advanced past.
+        plain_data = cryptPayload(rxCipher, group_base + 2,
+                                  msg.cipherData);
         padsUsed += 4;
     }
 
@@ -167,13 +162,13 @@ ObfusMemMemSide::receiveMessage(WireMessage msg)
     WireHeader hdr_val = *hdr;
     bool has_data = msg.hasData;
     scheduleAfter(lat, [this, hdr_val, has_data, plain_data]() {
-        handleRequest(hdr_val, has_data, plain_data, 0);
+        handleRequest(hdr_val, has_data, plain_data);
     });
 }
 
 void
 ObfusMemMemSide::handleRequest(const WireHeader &hdr, bool has_data,
-                               const DataBlock &plain_data, uint64_t)
+                               const DataBlock &plain_data)
 {
     const bool is_dummy = hdr.dummy || hdr.addr == dummyBlockAddr;
 
@@ -382,7 +377,6 @@ ObfusMemMemSide::resyncTo(uint64_t base, unsigned phase,
         auditPads(CounterStream::Request, cur, tgt - cur);
     reqCounter = base;
     groupPhase = phase;
-    groupPadsValid = false;
     receiveMessage(std::move(msg));
 }
 
@@ -422,7 +416,6 @@ ObfusMemMemSide::handleHandshakeChunk(const HandshakeChunk &chunk)
     txCipher.setKey(key, 2ull * channel + 1);
     reqCounter = 0;
     groupPhase = 0;
-    groupPadsValid = false;
     respCounter = 0;
     ++rekeysCompleted;
     auditIncident(ChannelIncident::RekeyCompleted);

@@ -77,14 +77,7 @@ class ObfusMemMemSide : public SimObject
     }
 
     /** Test hook: skew the request counter to model message loss. */
-    void skewRequestCounter(uint64_t delta)
-    {
-        reqCounter += delta;
-        // Any cached group pads were generated from the old counter;
-        // drop them so the next message decrypts (and fails) exactly
-        // as it would have without the cache.
-        groupPadsValid = false;
-    }
+    void skewRequestCounter(uint64_t delta) { reqCounter += delta; }
 
     /** Attach the trace auditor's endpoint hook (may be null). */
     void setAuditHook(AuditHook *hook) { audit = hook; }
@@ -115,8 +108,7 @@ class ObfusMemMemSide : public SimObject
 
   private:
     void handleRequest(OBF_SECRET const WireHeader &hdr, bool has_data,
-                       OBF_SECRET const DataBlock &plain_data,
-                       uint64_t hdr_ctr);
+                       OBF_SECRET const DataBlock &plain_data);
     void sendReadReply(const WireHeader &req_hdr,
                        const DataBlock &data);
 
@@ -172,14 +164,6 @@ class ObfusMemMemSide : public SimObject
     uint64_t reqCounter = 0;
     /** Which message of the current request group is next (0 or 1). */
     unsigned groupPhase = 0;
-    /**
-     * Pads of the in-flight request group, batch-generated when the
-     * group's first message arrives and reused for the second — the
-     * hardware analogue of running the AES pipeline once per group.
-     */
-    OBF_SECRET std::array<crypto::Block128, countersPerRequestGroup>
-        groupPads{};
-    bool groupPadsValid = false;
     uint64_t respCounter = 0;
 
     // --- Recovery / control-plane state -----------------------------

@@ -6,42 +6,27 @@
 #include "obfusmem/observer.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 namespace obfusmem {
 
 BusObserver::BusObserver(unsigned channels_, Tick bucket_ticks)
-    : channels(channels_), bucketTicks(bucket_ticks),
-      perChannelRequests(channels_, 0)
+    : channels(channels_), perChannelRequests(channels_, 0),
+      buckets(channels_, bucket_ticks)
 {
-}
-
-void
-BusObserver::rolloverBucket(uint64_t new_bucket)
-{
-    if (currentBucketMask != 0) {
-        ++activeBuckets;
-        if (std::popcount(currentBucketMask) == 1 && channels > 1)
-            ++soloBuckets;
-    }
-    currentBucketMask = 0;
-    currentBucket = new_bucket;
 }
 
 void
 BusObserver::observe(const BusSnoop &snoop)
 {
-    uint64_t bucket = snoop.when / bucketTicks;
-    if (bucket != currentBucket)
-        rolloverBucket(bucket);
+    buckets.advance(snoop.when);
 
     if (snoop.dir == BusDir::ToMemory) {
         ++totalRequests;
         toMemBytes += snoop.bytes;
         if (snoop.channel < channels) {
             ++perChannelRequests[snoop.channel];
-            currentBucketMask |= 1u << snoop.channel;
+            buckets.mark(snoop.channel);
         }
         if (snoop.wireIsWrite) {
             ++writesSeen;
@@ -55,7 +40,7 @@ BusObserver::observe(const BusSnoop &snoop)
     } else {
         toProcBytes += snoop.bytes;
         if (snoop.channel < channels)
-            currentBucketMask |= 1u << snoop.channel;
+            buckets.mark(snoop.channel);
     }
 }
 
@@ -84,22 +69,6 @@ BusObserver::typeImbalance() const
         return 0.0;
     double read_frac = static_cast<double>(readsSeen) / total;
     return std::abs(read_frac - 0.5) * 2.0;
-}
-
-double
-BusObserver::soloBucketFraction() const
-{
-    // Include the still-open bucket.
-    uint64_t active = activeBuckets;
-    uint64_t solo = soloBuckets;
-    if (currentBucketMask != 0) {
-        ++active;
-        if (std::popcount(currentBucketMask) == 1 && channels > 1)
-            ++solo;
-    }
-    if (active == 0)
-        return 0.0;
-    return static_cast<double>(solo) / active;
 }
 
 } // namespace obfusmem

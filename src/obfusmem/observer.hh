@@ -81,7 +81,7 @@ class BusObserver : public BusProbe
      * carried traffic: high when the spatial pattern leaks across
      * channel pins, ~0 under UNOPT/OPT dummy injection.
      */
-    double soloBucketFraction() const;
+    double soloBucketFraction() const { return buckets.soloFraction(); }
 
     /** Per-channel request counts (balance check). */
     const std::vector<uint64_t> &channelRequests() const
@@ -94,10 +94,7 @@ class BusObserver : public BusProbe
     uint64_t bytesToProcessor() const { return toProcBytes; }
 
   private:
-    void rolloverBucket(uint64_t new_bucket);
-
     unsigned channels;
-    Tick bucketTicks;
 
     uint64_t totalRequests = 0;
     uint64_t readsSeen = 0;
@@ -110,10 +107,8 @@ class BusObserver : public BusProbe
 
     std::vector<uint64_t> perChannelRequests;
 
-    uint64_t currentBucket = 0;
-    uint32_t currentBucketMask = 0;
-    uint64_t soloBuckets = 0;
-    uint64_t activeBuckets = 0;
+    /** Both directions count as channel activity. */
+    SoloBucketMeter buckets;
 };
 
 } // namespace obfusmem

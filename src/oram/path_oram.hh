@@ -139,8 +139,8 @@ class PathOram
     /**
      * Checkpoint the full functional state (geometry, position map,
      * stash, tree contents, RNG stream) to a binary stream; a
-     * restored instance is bit-identical going forward. The
-     * ObliviousBackend vtable's serialize half calls this.
+     * restored instance is bit-identical going forward.
+     * System::serializeBackend calls this.
      */
     void serialize(std::ostream &os) const;
 

@@ -12,47 +12,6 @@
 
 namespace obfusmem {
 
-void
-IvPadMemo::regStats(statistics::Group &g)
-{
-    g.addScalar("padMemoHits", &hitCount,
-                "memory-encryption pad sets reused from the memo");
-    g.addScalar("padMemoMisses", &missCount,
-                "memory-encryption pad sets computed");
-}
-
-size_t
-IvPadMemo::indexOf(const crypto::Block128 &iv)
-{
-    uint64_t h = crypto::loadLe64(iv.data()) * 0x9e3779b97f4a7c15ull
-                 ^ crypto::loadLe64(iv.data() + 8);
-    h ^= h >> 29;
-    return static_cast<size_t>(h) & (entries - 1);
-}
-
-bool
-IvPadMemo::lookup(const crypto::Block128 &iv, crypto::Block128 out[4])
-{
-    const Entry &e = table[indexOf(iv)];
-    if (!e.valid || e.iv != iv) {
-        ++missCount;
-        return false;
-    }
-    ++hitCount;
-    std::copy_n(e.pads.data(), 4, out);
-    return true;
-}
-
-void
-IvPadMemo::insert(const crypto::Block128 &iv,
-                  const crypto::Block128 pads[4])
-{
-    Entry &e = table[indexOf(iv)];
-    e.iv = iv;
-    std::copy_n(pads, 4, e.pads.data());
-    e.valid = true;
-}
-
 MemoryEncryptionEngine::MemoryEncryptionEngine(
     const std::string &name, EventQueue &eq, statistics::Group *parent,
     const EncryptionParams &params_, MemSink &inner_,
@@ -96,7 +55,9 @@ MemoryEncryptionEngine::MemoryEncryptionEngine(
                       "data blocks decrypted on the read path");
     stats().addScalar("forwardedReads", &forwardedReads,
                       "reads served from an in-flight write");
-    padMemo.regStats(stats());
+    // Retired pad-memo counters, kept at zero for perfbench's readers.
+    for (const char *s : {"padMemoHits", "padMemoMisses"})
+        stats().addScalar(s, &retiredZero, "always 0 (retired)");
 }
 
 MemoryEncryptionEngine::PageCounters &
@@ -131,8 +92,6 @@ MemoryEncryptionEngine::padsFor(uint64_t addr, const PageCounters &ctrs,
     iv.minorCounter = ctrs.minors[block_idx];
     iv.majorCounter = ctrs.major;
     crypto::Block128 base = iv.pack();
-    if (padMemo.lookup(base, out))
-        return;
     for (unsigned i = 0; i < 4; ++i) {
         out[i] = base;
         // Sub-block index occupies a byte the IV layout leaves free.
@@ -141,7 +100,6 @@ MemoryEncryptionEngine::padsFor(uint64_t addr, const PageCounters &ctrs,
     }
     // One batched pass over the four sub-block IVs (in place).
     padSource.padsForIvs(out, out, 4);
-    padMemo.insert(base, out);
 }
 
 DataBlock

@@ -16,8 +16,6 @@
 #ifndef OBFUSMEM_SECURE_ENCRYPTION_ENGINE_HH
 #define OBFUSMEM_SECURE_ENCRYPTION_ENGINE_HH
 
-#include <array>
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -71,43 +69,6 @@ struct EncryptionParams
     unsigned bmtCacheAssoc = 8;
 
     uint64_t pageBytes = 4096;
-};
-
-/**
- * A direct-mapped memo of memory-encryption pads, keyed by the base
- * IV (page id, offset, major/minor counter - see MemoryEncryptionIv).
- * The four sub-block pads are a pure function of that IV, so between
- * counter bumps (i.e. between writes to a block) repeated reads reuse
- * the AES work without any visible effect on ciphertexts.
- */
-class IvPadMemo
-{
-  public:
-    /** Table size in entries (a power of two). */
-    static constexpr size_t entries = 256;
-
-    void regStats(statistics::Group &g);
-
-    /** Copy the memoized pads for `iv` into `out[4]` on a hit. */
-    bool lookup(const crypto::Block128 &iv,
-                OBF_SECRET crypto::Block128 out[4]);
-
-    /** Record freshly computed pads for `iv`. */
-    void insert(const crypto::Block128 &iv,
-                OBF_SECRET const crypto::Block128 pads[4]);
-
-  private:
-    struct Entry
-    {
-        crypto::Block128 iv{};
-        std::array<crypto::Block128, 4> pads{};
-        bool valid = false;
-    };
-
-    static size_t indexOf(const crypto::Block128 &iv);
-
-    std::array<Entry, entries> table{};
-    statistics::Scalar hitCount, missCount;
 };
 
 /**
@@ -248,10 +209,9 @@ class MemoryEncryptionEngine : public SimObject, public MemSink
      * Pad source for the engine's page/block-counter IVs. Routed
      * through AesCtr's IV passthrough so the crypto dispatch (and the
      * AES-NI batch path) stays behind one construction site in
-     * crypto/, with a memo in front for repeated reads.
+     * crypto/.
      */
     crypto::AesCtr padSource;
-    mutable IvPadMemo padMemo;
     std::unordered_map<uint64_t, PageCounters> counters;
     MerkleTree tree;
     /** Block offset of each interior level in the BMT region. */
@@ -282,6 +242,7 @@ class MemoryEncryptionEngine : public SimObject, public MemSink
     statistics::Scalar integrityViolations;
     statistics::Scalar blocksEncrypted, blocksDecrypted;
     statistics::Scalar forwardedReads;
+    statistics::Scalar retiredZero;
 };
 
 } // namespace obfusmem

@@ -9,6 +9,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "cpu/cache_hierarchy.hh"
 #include "cpu/core.hh"
@@ -44,10 +46,32 @@ enum class ProtectionMode
     WriteOnlyOram,
 };
 
+/** Name-table row of one protection mode. */
+struct BackendInfo
+{
+    ProtectionMode mode;
+    /** Canonical name (CLI/JSON spelling). */
+    const char *name;
+    /** Mode sits on channel buses + PCM (vs. the magic store). */
+    bool needsBuses;
+    /** Mode obfuscates the wire (auditor runs in strict mode). */
+    bool obfuscatedWire;
+};
+
+/** Name-table row for @p mode (every mode has one). */
+const BackendInfo &backendInfo(ProtectionMode mode);
+
 /**
- * Human-readable mode name (the registry row's canonical name; see
- * system/oblivious_backend.hh).
+ * Row whose canonical name (or a documented alias: "encryption",
+ * "obfusmem-auth", "write-only-oram") matches @p name; nullptr when
+ * unknown.
  */
+const BackendInfo *backendInfoByName(std::string_view name);
+
+/** All name-table rows, in ProtectionMode declaration order. */
+const std::vector<BackendInfo> &allBackendInfos();
+
+/** Human-readable mode name (the name-table row's canonical name). */
 const char *protectionModeName(ProtectionMode mode);
 
 /** Full system configuration. */

@@ -6,15 +6,21 @@
 #include "system/system.hh"
 
 #include <algorithm>
+#include <istream>
+#include <ostream>
 
 #include "cpu/trace_workload.hh"
 #include "crypto/md5.hh"
 #include "trust/boot.hh"
 #include "util/logging.hh"
+#include "util/serial.hh"
 
 namespace obfusmem {
 
 namespace {
+
+/** "OBKNDv1\0" as a little-endian u64 checkpoint format tag. */
+constexpr uint64_t kBackendMagic = 0x003176444e4b424fULL;
 
 /** Deterministic per-channel session key (when not running boot). */
 crypto::Aes128::Key
@@ -55,9 +61,11 @@ System::~System() = default;
 void
 System::buildMemoryPath()
 {
-    const ObliviousBackendInfo &info = backendInfo(cfg.mode);
+    const BackendInfo &info = backendInfo(cfg.mode);
     const bool obfus_mode = info.obfuscatedWire;
 
+    std::vector<ChannelBus *> bus_ptrs;
+    std::vector<PcmController *> pcm_ptrs;
     if (info.needsBuses) {
         if (cfg.attachObserver)
             busObserver = std::make_unique<BusObserver>(cfg.channels);
@@ -105,6 +113,8 @@ System::buildMemoryPath()
             pcms.push_back(std::make_unique<PcmController>(
                 "system.pcm" + std::to_string(c), eq, &root, c, *map,
                 cfg.pcm, *store));
+            bus_ptrs.push_back(buses.back().get());
+            pcm_ptrs.push_back(pcms.back().get());
         }
     }
 
@@ -132,19 +142,107 @@ System::buildMemoryPath()
         }
     }
 
-    BackendContext ctx{cfg,
-                       eq,
-                       root,
-                       pktPool,
-                       *map,
-                       *store,
-                       buses,
-                       pcms,
-                       traceAuditor.get(),
-                       channelKeys,
-                       kdfChannelKey(cfg.seed, 0xff)};
-    protBackend = info.create(ctx);
-    memoryPath = &protBackend->sink();
+    auto plain = [&]() -> PlainPath & {
+        plainPath = std::make_unique<PlainPath>(
+            "system.plainPath", eq, &root, *map, bus_ptrs, pcm_ptrs,
+            pktPool, PlainPath::Params{});
+        return *plainPath;
+    };
+    // The on-chip memory-encryption engine, keyed apart from the
+    // channel session keys.
+    auto encrypt = [&](MemSink &inner) -> MemSink & {
+        encEngine = std::make_unique<MemoryEncryptionEngine>(
+            "system.encEngine", eq, &root, cfg.encryption, inner,
+            cfg.dataRegionBytes(), cfg.counterRegionBase(),
+            cfg.bmtRegionBase(), kdfChannelKey(cfg.seed, 0xff));
+        return *encEngine;
+    };
+
+    // Each mode's components, in the order their stats register.
+    switch (cfg.mode) {
+      case ProtectionMode::Unprotected:
+        memoryPath = &plain();
+        break;
+      case ProtectionMode::EncryptionOnly:
+        memoryPath = &encrypt(plain());
+        break;
+      case ProtectionMode::ObfusMem:
+      case ProtectionMode::ObfusMemAuth: {
+        ObfusMemParams om = cfg.obfusmem;
+        om.auth = cfg.mode == ProtectionMode::ObfusMemAuth;
+
+        // Reserved per-channel dummy block: the very top row of the
+        // channel, far above every workload/metadata region.
+        std::vector<uint64_t> dummy_addrs;
+        for (unsigned c = 0; c < cfg.channels; ++c) {
+            DecodedAddr loc;
+            loc.channel = c;
+            loc.rank = map->ranksPerChannel() - 1;
+            loc.bank = map->banksPerRank() - 1;
+            loc.row = map->rowsPerBank() - 1;
+            loc.column = map->blocksPerRow() - 1;
+            dummy_addrs.push_back(map->encode(loc));
+        }
+
+        obfusProc = std::make_unique<ObfusMemProcSide>(
+            "system.obfusProc", eq, &root, om, *map, channelKeys,
+            bus_ptrs, dummy_addrs);
+        for (unsigned c = 0; c < cfg.channels; ++c) {
+            obfusMem.push_back(std::make_unique<ObfusMemMemSide>(
+                "system.obfusMem" + std::to_string(c), eq, &root, om, c,
+                channelKeys[c], *buses[c], *pcms[c], *store,
+                dummy_addrs[c]));
+            // Production wiring is direct pointers: message delivery
+            // is a virtual-free static call, no std::function hop.
+            // (Tests that need to intercept frames still use
+            // setRequestTarget/setReplyTarget, which override these.)
+            obfusProc->setMemSide(c, obfusMem.back().get());
+            obfusMem.back()->setProcSide(obfusProc.get());
+        }
+        if (traceAuditor) {
+            obfusProc->setAuditHook(traceAuditor.get());
+            for (auto &side : obfusMem)
+                side->setAuditHook(traceAuditor.get());
+        }
+        memoryPath = &encrypt(*obfusProc);
+        break;
+      }
+      case ProtectionMode::OramFixed:
+        fixedOram = std::make_unique<OramFixedLatency>(
+            "system.oram", eq, &root, cfg.oramFixed, *store);
+        memoryPath = fixedOram.get();
+        break;
+      case ProtectionMode::OramDetailed: {
+        OramDetailed::Params op = cfg.oramDetailed;
+        if (op.treeBase == 0)
+            op.treeBase = cfg.oramTreeBase();
+        PlainPath &inner = plain();
+        detailedOram = std::make_unique<OramDetailed>(
+            "system.oram", eq, &root, op, inner);
+        memoryPath = detailedOram.get();
+        break;
+      }
+      case ProtectionMode::FlatOram: {
+        FlatOramController::Params fp = cfg.flatOram;
+        if (fp.arrayBase == 0)
+            fp.arrayBase = cfg.oramTreeBase();
+        PlainPath &inner = plain();
+        flatOram = std::make_unique<FlatOramController>(
+            "system.oram", eq, &root, fp, inner);
+        memoryPath = flatOram.get();
+        break;
+      }
+      case ProtectionMode::WriteOnlyOram: {
+        WriteOnlyOramController::Params wp = cfg.writeOnlyOram;
+        if (wp.areaBase == 0)
+            wp.areaBase = cfg.oramTreeBase();
+        PlainPath &inner = plain();
+        writeOnlyOram = std::make_unique<WriteOnlyOramController>(
+            "system.oram", eq, &root, wp, inner);
+        memoryPath = writeOnlyOram.get();
+        break;
+      }
+    }
 }
 
 void
@@ -304,9 +402,105 @@ System::functionalRead(uint64_t addr)
     if (caches->peekBlock(addr, out))
         return out;
 
-    if (auto resolved = protBackend->functionalRead(addr))
-        return *resolved;
+    // The ORAM structures are authoritative for their logical blocks
+    // (the backing store holds the physical layout, not the data).
+    if (detailedOram)
+        return detailedOram->oram().read(addr / blockBytes);
+    if (flatOram) {
+        return flatOram->oram().read(
+            (addr / blockBytes) % flatOram->oram().capacityBlocks());
+    }
+    if (writeOnlyOram) {
+        return writeOnlyOram->oram().read(
+            (addr / blockBytes) % writeOnlyOram->oram().capacityBlocks());
+    }
+    if (encEngine && addr < cfg.dataRegionBytes())
+        return encEngine->debugDecrypt(addr, store->read(addr));
     return store->read(addr);
+}
+
+void
+System::serializeBackend(std::ostream &os) const
+{
+    serial::putU64(os, kBackendMagic);
+    serial::putU64(os, static_cast<uint64_t>(cfg.mode));
+    if (detailedOram)
+        detailedOram->oram().serialize(os);
+    else if (flatOram)
+        flatOram->oram().serialize(os);
+    else if (writeOnlyOram)
+        writeOnlyOram->oram().serialize(os);
+}
+
+bool
+System::restoreBackend(std::istream &is)
+{
+    if (!serial::expectU64(is, kBackendMagic)
+        || !serial::expectU64(is, static_cast<uint64_t>(cfg.mode))) {
+        return false;
+    }
+    if (detailedOram)
+        return detailedOram->oram().deserialize(is);
+    if (flatOram)
+        return flatOram->oram().deserialize(is);
+    if (writeOnlyOram)
+        return writeOnlyOram->oram().deserialize(is);
+    return true;
+}
+
+// ---------------------------------------------------------------------
+// Protection-mode name table
+// ---------------------------------------------------------------------
+
+const std::vector<BackendInfo> &
+allBackendInfos()
+{
+    static const std::vector<BackendInfo> infos = {
+        {ProtectionMode::Unprotected, "unprotected",
+         /*needsBuses=*/true, /*obfuscatedWire=*/false},
+        {ProtectionMode::EncryptionOnly, "encryption-only", true, false},
+        {ProtectionMode::ObfusMem, "obfusmem", true, true},
+        {ProtectionMode::ObfusMemAuth, "obfusmem+auth", true, true},
+        {ProtectionMode::OramFixed, "oram-fixed", false, false},
+        {ProtectionMode::OramDetailed, "oram-detailed", true, false},
+        {ProtectionMode::FlatOram, "flat-oram", true, false},
+        {ProtectionMode::WriteOnlyOram, "wo-oram", true, false},
+    };
+    return infos;
+}
+
+const BackendInfo &
+backendInfo(ProtectionMode mode)
+{
+    for (const auto &info : allBackendInfos()) {
+        if (info.mode == mode)
+            return info;
+    }
+    panic("no backend registered for mode ",
+          static_cast<int>(mode));
+}
+
+const BackendInfo *
+backendInfoByName(std::string_view name)
+{
+    for (const auto &info : allBackendInfos()) {
+        if (name == info.name)
+            return &info;
+    }
+    // Documented aliases (older bench spellings).
+    if (name == "encryption")
+        return &backendInfo(ProtectionMode::EncryptionOnly);
+    if (name == "obfusmem-auth")
+        return &backendInfo(ProtectionMode::ObfusMemAuth);
+    if (name == "write-only-oram")
+        return &backendInfo(ProtectionMode::WriteOnlyOram);
+    return nullptr;
+}
+
+const char *
+protectionModeName(ProtectionMode mode)
+{
+    return backendInfo(mode).name;
 }
 
 } // namespace obfusmem

@@ -3,11 +3,16 @@
  * Top-level simulated system: cores, caches, the configured
  * protection path, channel buses, PCM, and the attacker's observer.
  * This is the main entry point of the library's public API.
+ *
+ * System owns every protection mode's components directly; one switch
+ * over the mode in buildMemoryPath() builds the mode's subset and
+ * leaves the others null.
  */
 
 #ifndef OBFUSMEM_SYSTEM_SYSTEM_HH
 #define OBFUSMEM_SYSTEM_SYSTEM_HH
 
+#include <iosfwd>
 #include <memory>
 #include <vector>
 
@@ -20,7 +25,6 @@
 #include "obfusmem/plain_path.hh"
 #include "obfusmem/proc_side.hh"
 #include "system/config.hh"
-#include "system/oblivious_backend.hh"
 
 namespace obfusmem {
 
@@ -79,25 +83,26 @@ class System
     DataBlock functionalRead(uint64_t addr);
 
     /**
-     * Checkpoint / restore the protection path's functional state
-     * (position maps, stashes, counters, RNG streams) through the
-     * backend's serialize vtable half. Restore requires a system
-     * built with the same mode and geometry.
+     * Checkpoint the protection path's functional state: a format
+     * tag and the mode, then the ORAM structure's payload (position
+     * map, stash, tree contents, RNG stream) in the ORAM modes. The
+     * other modes keep their data in the backing store and write only
+     * the tag.
      */
-    void serializeBackend(std::ostream &os) const
-    {
-        protBackend->serialize(os);
-    }
+    void serializeBackend(std::ostream &os) const;
 
-    bool restoreBackend(std::istream &is)
-    {
-        return protBackend->deserialize(is);
-    }
+    /**
+     * Restore from serializeBackend() output; false on a malformed or
+     * truncated stream, or one from another mode or geometry.
+     */
+    bool restoreBackend(std::istream &is);
 
     // --- Component access (tests, benches, examples) -----------------
+    //
+    // A mode's components are non-null only in the modes that use
+    // them; memSides() is empty outside the ObfusMem modes.
 
     EventQueue &eventQueue() { return eq; }
-    PacketPool &packetPool() { return pktPool; }
     /**
      * The configured protection path's entry point (what the LLC
      * talks to). External drivers — the multi-tenant topology's
@@ -112,17 +117,11 @@ class System
     BusObserver *observer() { return busObserver.get(); }
     check::TraceAuditor *auditor() { return traceAuditor.get(); }
     FaultInjector *faults() { return faultInjector.get(); }
-    /** The assembled protection path (never null). */
-    ObliviousBackend &backend() { return *protBackend; }
-    MemoryEncryptionEngine *encryptionEngine()
-    {
-        return protBackend->encryptionEngine();
-    }
-    ObfusMemProcSide *procSide() { return protBackend->procSide(); }
+    MemoryEncryptionEngine *encryptionEngine() { return encEngine.get(); }
+    ObfusMemProcSide *procSide() { return obfusProc.get(); }
     std::vector<std::unique_ptr<ObfusMemMemSide>> &memSides()
     {
-        auto *sides = protBackend->memSides();
-        return sides ? *sides : noMemSides;
+        return obfusMem;
     }
     std::vector<std::unique_ptr<PcmController>> &pcmControllers()
     {
@@ -132,27 +131,15 @@ class System
     {
         return buses;
     }
-    OramFixedLatency *oramFixed() { return protBackend->oramFixed(); }
-    OramDetailed *oramDetailed()
-    {
-        return protBackend->oramDetailed();
-    }
-    FlatOramController *flatOramCtl()
-    {
-        return protBackend->flatOram();
-    }
+    OramFixedLatency *oramFixed() { return fixedOram.get(); }
+    OramDetailed *oramDetailed() { return detailedOram.get(); }
+    FlatOramController *flatOramCtl() { return flatOram.get(); }
     WriteOnlyOramController *writeOnlyOramCtl()
     {
-        return protBackend->writeOnlyOram();
+        return writeOnlyOram.get();
     }
     TraceCore &core(unsigned i) { return *cores[i]; }
     const SystemConfig &config() const { return cfg; }
-
-    /** The session keys in use (for tamper tests). */
-    const std::vector<crypto::Aes128::Key> &sessionKeys() const
-    {
-        return channelKeys;
-    }
 
     /** Dump all statistics to a stream. */
     void dumpStats(std::ostream &os) const { root.dump(os); }
@@ -175,9 +162,16 @@ class System
     std::unique_ptr<FaultInjector> faultInjector;
 
     std::vector<crypto::Aes128::Key> channelKeys;
-    std::unique_ptr<ObliviousBackend> protBackend;
-    /** Fallback for memSides() on backends without ObfusMem sides. */
-    std::vector<std::unique_ptr<ObfusMemMemSide>> noMemSides;
+
+    // --- The mode's protection path (null when unused) ---------------
+    std::unique_ptr<PlainPath> plainPath;
+    std::unique_ptr<ObfusMemProcSide> obfusProc;
+    std::vector<std::unique_ptr<ObfusMemMemSide>> obfusMem;
+    std::unique_ptr<MemoryEncryptionEngine> encEngine;
+    std::unique_ptr<OramFixedLatency> fixedOram;
+    std::unique_ptr<OramDetailed> detailedOram;
+    std::unique_ptr<FlatOramController> flatOram;
+    std::unique_ptr<WriteOnlyOramController> writeOnlyOram;
 
     /** The sink the cache hierarchy talks to. */
     MemSink *memoryPath = nullptr;

@@ -2,9 +2,9 @@
  * @file
  * Tiny binary stream-serialization helpers for checkpoint/restore.
  *
- * The ObliviousBackend vtable's serialize half (system/
- * oblivious_backend.hh) and the functional ORAM structures write
- * host-endian fixed-width fields through these; a checkpoint is a
+ * System::serializeBackend/restoreBackend (system/system.hh) and the
+ * functional ORAM structures write host-endian fixed-width fields
+ * through these; a checkpoint is a
  * same-host artifact (resume-from-checkpoint on the machine that
  * wrote it), so no endian conversion is performed. Readers return
  * false on a short or malformed stream instead of throwing, letting

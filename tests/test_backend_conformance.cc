@@ -1,20 +1,20 @@
 /**
  * @file
- * Cross-backend conformance suite: every ObliviousBackend
- * implementation must (a) return the data written through it, checked
+ * Cross-mode conformance suite: every protection mode System
+ * assembles must (a) return the data written through it, checked
  * against a reference flat store under randomized traffic, (b) keep
- * its structural invariants, (c) checkpoint/restore through the
- * serialize vtable half, and (d) produce bit-identical wire traces
- * whether the bench runner uses 1 or 4 worker threads.
+ * its structural invariants, (c) checkpoint/restore through
+ * System::serializeBackend/restoreBackend, rejecting every truncated
+ * checkpoint, and (d) produce bit-identical wire traces whether the
+ * bench runner uses 1 or 4 worker threads.
  *
- * A CI backend-matrix leg can narrow the parameterized sweep to one
- * backend by setting OBFUSMEM_BACKEND; the other parameterizations
- * then skip.
+ * A CI backend-matrix leg narrows the parameterized sweep to one mode
+ * with a --gtest_filter on the instantiation name (the mode's name with
+ * '-' and '+' spelled '_', e.g. flat_oram).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <string>
@@ -138,20 +138,6 @@ checkStructuralInvariants(System &sys)
 class BackendConformance
     : public ::testing::TestWithParam<ProtectionMode>
 {
-  protected:
-    void SetUp() override
-    {
-        // Honor the CI backend-matrix knob: when OBFUSMEM_BACKEND
-        // names one backend, only its parameterization runs.
-        const char *only = std::getenv("OBFUSMEM_BACKEND");
-        if (only && *only) {
-            const ObliviousBackendInfo *info =
-                backendInfoByName(only);
-            if (info && info->mode != GetParam())
-                GTEST_SKIP() << "OBFUSMEM_BACKEND narrows suite to "
-                             << info->name;
-        }
-    }
 };
 
 } // namespace
@@ -202,23 +188,32 @@ TEST_P(BackendConformance, SerializeRestoreRoundTrip)
 
     std::stringstream snap;
     a.serializeBackend(snap);
+    const std::string full = snap.str();
     System b(cfg);
-    ASSERT_TRUE(b.restoreBackend(snap));
 
-    // Backends whose functional state lives in the scheme itself
-    // (the ORAM structures) must resolve every block identically
-    // after restore. The others keep their data in the backing store
-    // (possibly encrypted in place), outside this interface: they
-    // restore only their format tag, and checkpointing them means
-    // checkpointing the substrate, not the backend.
+    // A truncated checkpoint never restores: every strict prefix cut
+    // at a field (8-byte) boundary is rejected.
+    for (size_t cut = 0; cut < full.size(); cut += 8) {
+        std::istringstream prefix(full.substr(0, cut));
+        EXPECT_FALSE(b.restoreBackend(prefix))
+            << "prefix of " << cut << " / " << full.size() << " bytes";
+    }
+    // A full restore after the rejected ones still recovers the state.
+    std::istringstream whole(full);
+    ASSERT_TRUE(b.restoreBackend(whole));
+
+    // Modes whose functional state lives in the ORAM structure must
+    // resolve every block identically after restore; in those modes
+    // the backing store holds zeros at logical addresses, so a miss
+    // cannot pass. The other modes keep their data in the backing
+    // store (possibly encrypted in place): they restore only their
+    // format tag, and checkpointing them means checkpointing the
+    // substrate.
     const bool self_contained =
         a.oramDetailed() || a.flatOramCtl() || a.writeOnlyOramCtl();
     if (self_contained) {
-        for (const auto &[addr, data] : reference) {
-            auto restored = b.backend().functionalRead(addr);
-            ASSERT_TRUE(restored.has_value());
-            EXPECT_EQ(*restored, data) << "addr " << addr;
-        }
+        for (const auto &[addr, data] : reference)
+            EXPECT_EQ(b.functionalRead(addr), data) << "addr " << addr;
     }
 
     // The restored system keeps serving timed traffic correctly.
@@ -281,25 +276,3 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return name;
     });
-
-TEST(BackendSelection, EnvKnobSelectsBackend)
-{
-    const char *saved = std::getenv("OBFUSMEM_BACKEND");
-    std::string saved_value = saved ? saved : "";
-
-    setenv("OBFUSMEM_BACKEND", "flat-oram", 1);
-    EXPECT_EQ(protectionModeFromEnv(ProtectionMode::Unprotected),
-              ProtectionMode::FlatOram);
-    setenv("OBFUSMEM_BACKEND", "write-only-oram", 1);
-    EXPECT_EQ(protectionModeFromEnv(ProtectionMode::Unprotected),
-              ProtectionMode::WriteOnlyOram);
-    setenv("OBFUSMEM_BACKEND", "not-a-backend", 1);
-    EXPECT_EQ(protectionModeFromEnv(ProtectionMode::ObfusMemAuth),
-              ProtectionMode::ObfusMemAuth);
-    unsetenv("OBFUSMEM_BACKEND");
-    EXPECT_EQ(protectionModeFromEnv(ProtectionMode::OramFixed),
-              ProtectionMode::OramFixed);
-
-    if (!saved_value.empty())
-        setenv("OBFUSMEM_BACKEND", saved_value.c_str(), 1);
-}

@@ -217,7 +217,7 @@ TEST(SystemConfig, BackendRegistryRoundTrips)
 {
     for (const auto &info : allBackendInfos()) {
         EXPECT_EQ(backendInfo(info.mode).name, info.name);
-        const ObliviousBackendInfo *by_name =
+        const BackendInfo *by_name =
             backendInfoByName(info.name);
         ASSERT_NE(by_name, nullptr);
         EXPECT_EQ(by_name->mode, info.mode);
