@@ -169,6 +169,11 @@ FlatOram::serialize(std::ostream &os) const
 bool
 FlatOram::deserialize(std::istream &is)
 {
+    // Parse into locals and commit only once the whole payload has
+    // been read, so a rejected stream leaves the live structure
+    // untouched. Only the live entries are staged, never a second
+    // copy of the slot array, and nothing is reserved by a count
+    // read from the stream.
     if (!serial::expectU64(is, kFlatOramMagic)
         || !serial::expectU64(is, params.capacityBlocks)
         || !serial::expectU64(is, physSlots)) {
@@ -178,19 +183,23 @@ FlatOram::deserialize(std::istream &is)
     uint64_t live = 0;
     if (!serial::getU64(is, live))
         return false;
-    posMap.clear();
-    slotBlock.assign(physSlots, kFree);
+    struct LiveEntry
+    {
+        uint64_t blockId;
+        uint64_t slot;
+        DataBlock data;
+    };
+    std::vector<LiveEntry> entries;
     for (uint64_t i = 0; i < live; ++i) {
-        uint64_t block_id = 0, slot = 0;
-        DataBlock data{};
-        if (!serial::getU64(is, block_id) || !serial::getU64(is, slot)
-            || slot >= physSlots
-            || !serial::getBytes(is, data.data(), data.size())) {
+        LiveEntry entry{};
+        if (!serial::getU64(is, entry.blockId)
+            || !serial::getU64(is, entry.slot)
+            || entry.slot >= physSlots
+            || !serial::getBytes(is, entry.data.data(),
+                                 entry.data.size())) {
             return false;
         }
-        posMap[block_id] = slot;
-        slotBlock[slot] = block_id;
-        slotData[slot] = data;
+        entries.push_back(entry);
     }
 
     std::array<uint64_t, 4> state{};
@@ -198,12 +207,25 @@ FlatOram::deserialize(std::istream &is)
         if (!serial::getU64(is, word))
             return false;
     }
-    rng.setRawState(state);
-    if (!serial::getU64(is, accessCount)
-        || !serial::getU64(is, physWrites)
-        || !serial::getU64(is, physReads)) {
+    uint64_t new_access_count = 0, new_phys_writes = 0,
+             new_phys_reads = 0;
+    if (!serial::getU64(is, new_access_count)
+        || !serial::getU64(is, new_phys_writes)
+        || !serial::getU64(is, new_phys_reads)) {
         return false;
     }
+
+    posMap.clear();
+    slotBlock.assign(physSlots, kFree);
+    for (const LiveEntry &entry : entries) {
+        posMap[entry.blockId] = entry.slot;
+        slotBlock[entry.slot] = entry.blockId;
+        slotData[entry.slot] = entry.data;
+    }
+    rng.setRawState(state);
+    accessCount = new_access_count;
+    physWrites = new_phys_writes;
+    physReads = new_phys_reads;
     lastReads.clear();
     lastWrites.clear();
     lastProbes = 0;

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
+#include <utility>
 
 #include "util/assert.hh"
 #include "util/logging.hh"
@@ -257,6 +258,10 @@ PathOram::serialize(std::ostream &os) const
 bool
 PathOram::deserialize(std::istream &is)
 {
+    // Parse everything into locals and commit only once the whole
+    // payload has been read, so a rejected stream leaves the live
+    // structure untouched. Counts from the stream only bound loops
+    // that fail at the first short read; nothing is reserved by them.
     if (!serial::expectU64(is, kPathOramMagic)
         || !serial::expectU64(is, params.levels)
         || !serial::expectU64(is, params.bucketSize)) {
@@ -266,18 +271,18 @@ PathOram::deserialize(std::istream &is)
     uint64_t pos_entries = 0;
     if (!serial::getU64(is, pos_entries))
         return false;
-    posMap.clear();
+    std::unordered_map<uint64_t, uint64_t> new_pos_map;
     for (uint64_t i = 0; i < pos_entries; ++i) {
         uint64_t block_id = 0, leaf = 0;
         if (!serial::getU64(is, block_id) || !serial::getU64(is, leaf))
             return false;
-        posMap[block_id] = leaf;
+        new_pos_map[block_id] = leaf;
     }
 
     uint64_t stash_entries = 0;
     if (!serial::getU64(is, stash_entries))
         return false;
-    stash.clear();
+    std::unordered_map<uint64_t, StashEntry> new_stash;
     for (uint64_t i = 0; i < stash_entries; ++i) {
         uint64_t block_id = 0;
         StashEntry entry{};
@@ -287,13 +292,15 @@ PathOram::deserialize(std::istream &is)
                                  entry.data.size())) {
             return false;
         }
-        stash[block_id] = entry;
+        new_stash[block_id] = entry;
     }
 
+    // Only the valid slots are staged (O(entries)), never a second
+    // copy of the whole tree.
     uint64_t valid = 0;
     if (!serial::getU64(is, valid))
         return false;
-    slots.assign(slots.size(), Slot{});
+    std::vector<std::pair<uint64_t, Slot>> new_slots;
     for (uint64_t i = 0; i < valid; ++i) {
         uint64_t index = 0;
         Slot slot{};
@@ -305,7 +312,7 @@ PathOram::deserialize(std::istream &is)
             return false;
         }
         slot.valid = true;
-        slots[index] = slot;
+        new_slots.emplace_back(index, slot);
     }
 
     std::array<uint64_t, 4> state{};
@@ -313,17 +320,25 @@ PathOram::deserialize(std::istream &is)
         if (!serial::getU64(is, word))
             return false;
     }
-    rng.setRawState(state);
-
-    uint64_t max_stash = 0, max_transient = 0;
+    uint64_t max_stash = 0, max_transient = 0, new_overflows = 0,
+             new_access_count = 0;
     if (!serial::getU64(is, max_stash)
         || !serial::getU64(is, max_transient)
-        || !serial::getU64(is, overflows)
-        || !serial::getU64(is, accessCount)) {
+        || !serial::getU64(is, new_overflows)
+        || !serial::getU64(is, new_access_count)) {
         return false;
     }
+
+    posMap = std::move(new_pos_map);
+    stash = std::move(new_stash);
+    slots.assign(slots.size(), Slot{});
+    for (const auto &[index, slot] : new_slots)
+        slots[index] = slot;
+    rng.setRawState(state);
     maxStash = max_stash;
     maxTransientStash = max_transient;
+    overflows = new_overflows;
+    accessCount = new_access_count;
     lastPeakStash = 0;
     lastSlots.clear();
     return true;

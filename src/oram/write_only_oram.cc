@@ -7,6 +7,7 @@
 
 #include <istream>
 #include <ostream>
+#include <utility>
 
 #include "oram/path_oram.hh"
 #include "util/assert.hh"
@@ -175,46 +176,77 @@ WriteOnlyOram::serialize(std::ostream &os) const
 bool
 WriteOnlyOram::deserialize(std::istream &is)
 {
+    // Parse into locals and commit only once the whole payload has
+    // been read, so a rejected stream leaves the live structure
+    // untouched. Only written blocks and held entries are staged,
+    // never a second copy of either area, and nothing is reserved by
+    // a count read from the stream.
+    uint64_t write_counter = 0;
     if (!serial::expectU64(is, kWoOramMagic)
         || !serial::expectU64(is, params.capacityBlocks)
-        || !serial::getU64(is, writeCounter)) {
+        || !serial::getU64(is, write_counter)) {
         return false;
     }
 
-    written.assign(params.capacityBlocks, 0);
+    std::vector<std::pair<uint64_t, DataBlock>> main_entries;
     for (uint64_t a = 0; a < params.capacityBlocks; ++a) {
         uint64_t w = 0;
         if (!serial::getU64(is, w) || w > 1)
             return false;
-        written[a] = static_cast<uint8_t>(w);
-        if (w && !serial::getBytes(is, mainArea[a].data(),
-                                   mainArea[a].size())) {
+        if (!w)
+            continue;
+        DataBlock data{};
+        if (!serial::getBytes(is, data.data(), data.size()))
             return false;
-        }
+        main_entries.emplace_back(a, data);
     }
 
     uint64_t held = 0;
     if (!serial::getU64(is, held))
         return false;
-    holdPos.clear();
-    holdOwner.assign(params.capacityBlocks, kFree);
+    struct HeldEntry
+    {
+        uint64_t blockId;
+        uint64_t slot;
+        DataBlock data;
+    };
+    std::vector<HeldEntry> held_entries;
     for (uint64_t i = 0; i < held; ++i) {
-        uint64_t block_id = 0, slot = 0;
-        if (!serial::getU64(is, block_id) || !serial::getU64(is, slot)
-            || slot >= params.capacityBlocks
-            || !serial::getBytes(is, holdArea[slot].data(),
-                                 holdArea[slot].size())) {
+        HeldEntry entry{};
+        if (!serial::getU64(is, entry.blockId)
+            || !serial::getU64(is, entry.slot)
+            || entry.slot >= params.capacityBlocks
+            || !serial::getBytes(is, entry.data.data(),
+                                 entry.data.size())) {
             return false;
         }
-        holdPos[block_id] = slot;
-        holdOwner[slot] = block_id;
+        held_entries.push_back(entry);
     }
 
-    if (!serial::getU64(is, accessCount)
-        || !serial::getU64(is, physWrites)
-        || !serial::getU64(is, physReads)) {
+    uint64_t new_access_count = 0, new_phys_writes = 0,
+             new_phys_reads = 0;
+    if (!serial::getU64(is, new_access_count)
+        || !serial::getU64(is, new_phys_writes)
+        || !serial::getU64(is, new_phys_reads)) {
         return false;
     }
+
+    writeCounter = write_counter;
+    written.assign(params.capacityBlocks, 0);
+    for (const auto &[a, data] : main_entries) {
+        written[a] = 1;
+        mainArea[a] = data;
+    }
+    holdPos.clear();
+    holdOwner.assign(params.capacityBlocks, kFree);
+    for (const HeldEntry &entry : held_entries) {
+        holdPos[entry.blockId] = entry.slot;
+        holdOwner[entry.slot] = entry.blockId;
+        holdArea[entry.slot] = entry.data;
+    }
+    accessCount = new_access_count;
+    physWrites = new_phys_writes;
+    physReads = new_phys_reads;
     lastReads.clear();
     lastWrites.clear();
     return true;

@@ -118,11 +118,11 @@ struct SystemConfig
     WriteOnlyOramController::Params writeOnlyOram{};
 
     /**
-     * Build the trace cores and warm the caches. The datacenter
-     * topology (system/topology.hh) drives the memory path directly
-     * with tenant generators instead; skipping core construction
-     * there avoids paying the per-socket cache warm-up for cores
-     * that never start. System::run() requires cores.
+     * Build the cache hierarchy and the trace cores, and warm the
+     * caches. The datacenter topology (system/topology.hh) drives the
+     * memory path directly with tenant generators instead, so its
+     * sockets build neither: no cache arrays, no warm-up. System::run()
+     * and every cache-model entry point require this.
      */
     bool buildCores = true;
 

@@ -49,11 +49,13 @@ System::System(const SystemConfig &config)
 
     buildMemoryPath();
 
-    caches = std::make_unique<CacheHierarchy>("system.caches", eq,
-                                              &root, cfg.hierarchy,
-                                              *memoryPath);
-    if (cfg.buildCores)
+    // A coreless system (a rack socket) is driven through
+    // memorySink() alone, so it builds no cache model.
+    if (cfg.buildCores) {
+        caches = std::make_unique<CacheHierarchy>(
+            "system.caches", eq, &root, cfg.hierarchy, *memoryPath);
         buildCores();
+    }
 }
 
 System::~System() = default;
@@ -370,24 +372,42 @@ System::run()
     return result;
 }
 
+CacheHierarchy &
+System::cacheModel(const char *caller)
+{
+    panic_if(!caches, "System::", caller,
+             " on a coreless system (buildCores=false), which has no "
+             "cache hierarchy; drive memorySink() directly instead");
+    return *caches;
+}
+
+CacheHierarchy &
+System::hierarchy()
+{
+    return cacheModel("hierarchy()");
+}
+
 void
 System::timedLoad(int core, uint64_t addr, CacheHierarchy::DoneCb cb)
 {
-    caches->load(core, addr, eq.curTick(), std::move(cb));
+    cacheModel("timedLoad()").load(core, addr, eq.curTick(),
+                                   std::move(cb));
 }
 
 void
 System::timedStore(int core, uint64_t addr, const DataBlock &data,
                    CacheHierarchy::DoneCb cb)
 {
-    caches->store(core, addr, data, eq.curTick(), std::move(cb));
+    cacheModel("timedStore()").store(core, addr, data, eq.curTick(),
+                                     std::move(cb));
 }
 
 void
 System::flushAndDrain()
 {
+    CacheHierarchy &model = cacheModel("flushAndDrain()");
     bool flushed = false;
-    caches->flushAll(eq.curTick(), [&flushed](Tick) {
+    model.flushAll(eq.curTick(), [&flushed](Tick) {
         flushed = true;
     });
     eq.run();
@@ -399,7 +419,7 @@ System::functionalRead(uint64_t addr)
 {
     addr = blockAlign(addr);
     DataBlock out;
-    if (caches->peekBlock(addr, out))
+    if (caches && caches->peekBlock(addr, out))
         return out;
 
     // The ORAM structures are authoritative for their logical blocks

@@ -67,7 +67,10 @@ class System
 
     /**
      * Issue a timed load/store directly (without cores); useful for
-     * tests and examples that drive the memory system by hand.
+     * tests and examples that drive the memory system by hand. These,
+     * flushAndDrain() and hierarchy() go through the cache model, so
+     * they panic on a coreless system (buildCores=false), which
+     * builds none.
      */
     void timedLoad(int core, uint64_t addr, CacheHierarchy::DoneCb cb);
     void timedStore(int core, uint64_t addr, const DataBlock &data,
@@ -77,8 +80,9 @@ class System
     void flushAndDrain();
 
     /**
-     * Functional read with decryption: caches first, then memory via
-     * the mode's crypto (test/verification path).
+     * Functional read with decryption: caches first (when there are
+     * any), then memory via the mode's crypto (test/verification
+     * path).
      */
     DataBlock functionalRead(uint64_t addr);
 
@@ -111,7 +115,7 @@ class System
      */
     MemSink &memorySink() { return *memoryPath; }
     statistics::Group &rootStats() { return root; }
-    CacheHierarchy &hierarchy() { return *caches; }
+    CacheHierarchy &hierarchy();
     BackingStore &backingStore() { return *store; }
     const AddressMap &addressMap() const { return *map; }
     BusObserver *observer() { return busObserver.get(); }
@@ -147,6 +151,8 @@ class System
   private:
     void buildMemoryPath();
     void buildCores();
+    /** The cache model; panics, naming @p caller, if there is none. */
+    CacheHierarchy &cacheModel(const char *caller);
 
     SystemConfig cfg;
     EventQueue eq;
@@ -176,6 +182,7 @@ class System
     /** The sink the cache hierarchy talks to. */
     MemSink *memoryPath = nullptr;
 
+    /** Null on a coreless system. */
     std::unique_ptr<CacheHierarchy> caches;
     std::vector<std::unique_ptr<TraceCore>> cores;
     unsigned coresFinished = 0;

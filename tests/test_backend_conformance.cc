@@ -6,7 +6,9 @@
  * its structural invariants, (c) checkpoint/restore through
  * System::serializeBackend/restoreBackend, rejecting every truncated
  * checkpoint, and (d) produce bit-identical wire traces whether the
- * bench runner uses 1 or 4 worker threads.
+ * bench runner uses 1 or 4 worker threads. Every System here is
+ * coreless, as rack sockets are; two plain tests check that such a
+ * System builds no cache model and refuses the cache entry points.
  *
  * A CI backend-matrix leg narrows the parameterized sweep to one mode
  * with a --gtest_filter on the instantiation name (the mode's name with
@@ -189,14 +191,34 @@ TEST_P(BackendConformance, SerializeRestoreRoundTrip)
     std::stringstream snap;
     a.serializeBackend(snap);
     const std::string full = snap.str();
-    System b(cfg);
 
-    // A truncated checkpoint never restores: every strict prefix cut
-    // at a field (8-byte) boundary is rejected.
+    // The restore target holds data of its own, so a rejected restore
+    // that had already overwritten part of it would show.
+    System b(cfg);
+    Random b_rng(29);
+    for (int op = 0; op < 64; ++op) {
+        DataBlock d;
+        b_rng.fillBytes(d.data(), d.size());
+        writeTimed(b, b_rng.randUnder(kWindowBlocks) * blockBytes, d);
+    }
+    auto window = [&b]() {
+        std::vector<DataBlock> blocks;
+        for (uint64_t id = 0; id < kWindowBlocks; ++id)
+            blocks.push_back(b.functionalRead(id * blockBytes));
+        return blocks;
+    };
+    const std::vector<DataBlock> before = window();
+
+    // A truncated checkpoint never restores, and a rejected restore
+    // leaves every block as it was: every strict prefix cut at a
+    // field (8-byte) boundary is rejected without effect.
     for (size_t cut = 0; cut < full.size(); cut += 8) {
         std::istringstream prefix(full.substr(0, cut));
         EXPECT_FALSE(b.restoreBackend(prefix))
             << "prefix of " << cut << " / " << full.size() << " bytes";
+        ASSERT_TRUE(window() == before)
+            << "rejected prefix of " << cut << " / " << full.size()
+            << " bytes changed the live state";
     }
     // A full restore after the rejected ones still recovers the state.
     std::istringstream whole(full);
@@ -256,6 +278,40 @@ TEST_P(BackendConformance, WireTraceIdenticalAcrossBenchJobs)
         EXPECT_EQ(serial[i], threaded[i]) << "index " << i;
     }
     EXPECT_EQ(serial[0], serial[3]);
+}
+
+TEST(CorelessSystem, BuildsNoCacheModel)
+{
+    // smallConfig builds a System without cores, as every rack socket
+    // is built: it has no cache hierarchy, hence no caches stats, and
+    // functionalRead resolves blocks without one.
+    DataBlock data;
+    for (size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<uint8_t>(0x3c ^ i);
+    for (const BackendInfo &info : allBackendInfos()) {
+        System sys(smallConfig(info.mode));
+        std::ostringstream stats;
+        sys.dumpStats(stats);
+        EXPECT_EQ(stats.str().find("system.caches"), std::string::npos)
+            << info.name;
+        EXPECT_NE(stats.str().find("system."), std::string::npos)
+            << info.name;
+        writeTimed(sys, 5 * blockBytes, data);
+        EXPECT_EQ(sys.functionalRead(5 * blockBytes), data) << info.name;
+    }
+}
+
+TEST(CorelessSystemDeathTest, CacheEntryPointsPanic)
+{
+    System sys(smallConfig(ProtectionMode::ObfusMemAuth));
+    EXPECT_DEATH(sys.timedLoad(0, 0x1000, [](Tick) {}),
+                 "System::timedLoad\\(\\) on a coreless system");
+    EXPECT_DEATH(sys.timedStore(0, 0x1000, DataBlock{}, [](Tick) {}),
+                 "System::timedStore\\(\\) on a coreless system");
+    EXPECT_DEATH(sys.flushAndDrain(),
+                 "System::flushAndDrain\\(\\) on a coreless system");
+    EXPECT_DEATH(sys.hierarchy(),
+                 "System::hierarchy\\(\\) on a coreless system");
 }
 
 INSTANTIATE_TEST_SUITE_P(

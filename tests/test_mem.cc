@@ -105,6 +105,51 @@ TEST(BackingStore, UnwrittenBlocksDeterministicJunk)
     EXPECT_NE(a.read(0x5000), a.read(0x5040));
 }
 
+namespace {
+
+/** The fill's defining serial xorshift64 loop, kept as the oracle. */
+DataBlock
+serialXorshiftFill(uint64_t key)
+{
+    DataBlock junk;
+    uint64_t x = key ^ 0xdeadbeefcafef00dULL;
+    for (size_t i = 0; i < junk.size(); ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        junk[i] = static_cast<uint8_t>(x);
+    }
+    return junk;
+}
+
+} // namespace
+
+TEST(BackingStore, UnwrittenFillMatchesSerialXorshift)
+{
+    // Sequential blocks (what the cache warm-up reads)...
+    BackingStore small(1 * GB);
+    for (uint64_t block = 0; block < 100000; ++block) {
+        uint64_t addr = block * blockBytes;
+        ASSERT_EQ(small.read(addr), serialXorshiftFill(addr))
+            << "block " << block;
+    }
+    // ...the last block below capacity...
+    const uint64_t last = 1 * GB - blockBytes;
+    EXPECT_EQ(small.read(last), serialXorshiftFill(last));
+
+    // ...and random block-aligned keys over the full 64-bit range,
+    // which exercise every byte of every table.
+    BackingStore full(~0ull);
+    Random rng(0xf111);
+    for (int i = 0; i < 100000; ++i) {
+        uint64_t addr = blockAlign(rng.next());
+        ASSERT_EQ(full.read(addr), serialXorshiftFill(addr))
+            << "addr " << addr;
+    }
+    const uint64_t top = blockAlign(~0ull);
+    EXPECT_EQ(full.read(top), serialXorshiftFill(top));
+}
+
 TEST(BackingStore, SubBlockAddressesAlias)
 {
     BackingStore store(1 * GB);

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 
 from .ir import Event, Function, Program
@@ -41,6 +42,24 @@ _BRANCH_KINDS = {
 
 class ClangError(Exception):
     pass
+
+
+def _type_tail(qual_type: str) -> str:
+    """Last name component of a type spelling, without template
+    arguments, cv-qualifiers, pointers or references:
+    "const std::vector<uint8_t> &" -> "vector"."""
+    depth = 0
+    outer = []
+    for ch in qual_type:
+        if ch == "<":
+            depth += 1
+        elif ch == ">":
+            depth -= 1
+        elif depth == 0:
+            outer.append(ch)
+    words = re.sub(r"\b(const|volatile|struct|class)\b|[&*]", " ",
+                   "".join(outer)).split()
+    return words[-1].split("::")[-1] if words else ""
 
 
 def dump_ast(path: str, flags: list[str], clangxx: str = "clang++",
@@ -96,6 +115,9 @@ class _Walker:
         self.cur_file = ""
         self.cur_line = 0
         self._temp = 0
+        # Decl id -> enclosing class name, for class records and their
+        # methods: resolves out-of-line definitions and call targets.
+        self._class_of: dict[str, str] = {}
 
     # -- location state ----------------------------------------------
 
@@ -160,6 +182,32 @@ class _Walker:
             name = self._callee_name(child)
             if name:
                 return name
+        return ""
+
+    def _callee_qual(self, node: dict) -> str:
+        """Class of the function a CallExpr's callee expression
+        resolves to: the referenced method's class when this TU
+        declares it, else (member calls) the receiver's type."""
+        if not isinstance(node, dict):
+            return ""
+        kind = node.get("kind")
+        if kind == "DeclRefExpr":
+            ref = node.get("referencedDecl") or {}
+            return self._class_of.get(ref.get("id", ""), "")
+        if kind == "MemberExpr":
+            known = self._class_of.get(
+                node.get("referencedMemberDecl", ""))
+            if known:
+                return known
+            base = (node.get("inner") or [{}])[0]
+            ty = base.get("type") or {} if isinstance(base, dict) \
+                else {}
+            return _type_tail(ty.get("desugaredQualType")
+                              or ty.get("qualType", ""))
+        for child in node.get("inner", []) or []:
+            qual = self._callee_qual(child)
+            if qual:
+                return qual
         return ""
 
     # -- statement lowering ------------------------------------------
@@ -240,24 +288,22 @@ class _Walker:
                     "CXXOperatorCallExpr"):
             callee_node = inner[0] if inner else None
             callee = self._callee_name(callee_node or {})
-            args: list[set[str]] = []
-            for child in inner:
-                child_ids = self._lower(child, fn)
-                args.append(child_ids)
-            # inner[0] is the callee expression; for member calls its
-            # refs include the receiver, which _map_args treats as a
-            # possible leading receiver entry.
+            lowered = [self._lower(child, fn) for child in inner]
+            flat = set().union(*lowered) if lowered else set()
             if callee == "operator<<":
                 streamy = any("cout#" in i or "cerr#" in i
-                              or "clog#" in i
-                              for a in args for i in a)
-                flat = set().union(*args) if args else set()
+                              or "clog#" in i for i in flat)
                 if streamy and flat:
                     fn.events.append(Event("stream", line, ids=flat))
             tmp = self._fresh()
-            fn.events.append(Event("call", line, callee=callee,
-                                   args=args, result=tmp))
-            return {tmp} | (set().union(*args) if args else set())
+            # inner[0] is the callee expression (for member calls its
+            # refs include the receiver); the rest are the arguments.
+            fn.events.append(Event(
+                "call", line, callee=callee, args=lowered[1:],
+                recv=lowered[0] if lowered else set(), result=tmp,
+                receiver=kind == "CXXMemberCallExpr",
+                callee_qual=self._callee_qual(callee_node or {})))
+            return {tmp} | flat
 
         if kind == "ReturnStmt":
             ids = self._lower(inner, fn)
@@ -326,11 +372,14 @@ class _Walker:
                                  qualifier)
             elif kind == "CXXRecordDecl":
                 name = node.get("name", qualifier)
+                self._class_of[node.get("id", "")] = name
                 for child in node.get("inner", []) or []:
                     if not isinstance(child, dict):
                         continue
                     self._update_loc(child)
                     ckind = child.get("kind")
+                    if ckind in _FN_KINDS:
+                        self._class_of[child.get("id", "")] = name
                     if ckind == "FieldDecl":
                         annot = _annotation(child)
                         if annot:
@@ -356,10 +405,15 @@ class _Walker:
         name = node.get("name", "")
         if not name:
             return
+        # An out-of-line method definition names its class through
+        # parentDeclContextId.
+        qualifier = self._class_of.get(
+            node.get("parentDeclContextId", ""), qualifier)
         in_main = self._in_main_file()
         line = self.cur_line
         params: list[str] = []
         annots: dict[str, str] = {}
+        required = 0
         body = None
         for child in node.get("inner", []) or []:
             if not isinstance(child, dict):
@@ -371,6 +425,8 @@ class _Walker:
                                           f"arg{len(params)}"),
                                 child.get("id", "?"))
                 params.append(var)
+                if "init" not in child:  # no default argument
+                    required = len(params)
                 a = _annotation(child)
                 if a:
                     annots[var] = a
@@ -382,16 +438,14 @@ class _Walker:
             # positional summary so call sites see the annotations.
             pa = {pos: annots[p] for pos, p in enumerate(params)
                   if p in annots}
-            rs, rp, merged = self.prog.decl_summaries.get(
-                name, (False, False, {}))
-            merged.update(pa)
-            self.prog.decl_summaries[name] = (
-                rs or ret_annot == "secret",
-                rp or ret_annot == "public", merged)
+            self.prog.add_decl((qualifier, name, len(params)),
+                               ret_annot == "secret",
+                               ret_annot == "public", pa, required)
             return
         fn = Function(name=name, qualifier=qualifier,
                       file=self.display, line=line, params=params,
-                      annots=annots,
+                      annots=annots, required=required,
+                      variadic=bool(node.get("variadic")),
                       returns_secret=ret_annot == "secret",
                       returns_public=ret_annot == "public")
         self._lower(body, fn)

@@ -73,9 +73,22 @@ class Event:
     ids: set[str] = field(default_factory=set)
     # assign only: ids read on the right-hand side.
     rhs: set[str] = field(default_factory=set)
-    # call only.
+    # call only. `args` are the call's arguments in parameter order;
+    # `recv` holds the ids of the receiver (`a` in `a.f(x)`), whose
+    # taint reaches the result but no parameter.
     callee: str = ""
     args: list[set[str]] = field(default_factory=list)
+    recv: set[str] = field(default_factory=set)
+    # call only: the call goes through an object (`a.f()`, `p->f()`).
+    receiver: bool = False
+    # call only: the class the callee belongs to when the call site
+    # says so -- `Cls::f(...)`, or the receiver's declared type. Empty
+    # when unknown.
+    callee_qual: str = ""
+    # call only (lite frontend): the receiver variable's name when its
+    # type was not known at the call; the engine looks it up among the
+    # program's member declarations.
+    recv_var: str = ""
     # call: synthetic id holding the call result (so nested uses of
     # the result -- branch conditions, subscripts -- see its taint).
     result: str = ""
@@ -91,6 +104,10 @@ class Function:
     line: int
     # Parameter variables in positional order.
     params: list[str] = field(default_factory=list)
+    # Parameters without a default argument (None: all of them), and
+    # whether the parameter list ends in a pack or `...`.
+    required: int | None = None
+    variadic: bool = False
     # var -> SECRET | PUBLIC, from annotations on params/locals.
     annots: dict[str, str] = field(default_factory=dict)
     returns_secret: bool = False  # OBF_SECRET on the return type
@@ -110,22 +127,37 @@ class Program:
     # members. The lite frontend scopes by class name; the clang
     # frontend uses ("", decl-id) since ids are globally unique.
     members: dict[tuple[str, str], str] = field(default_factory=dict)
-    # Summaries from declarations without bodies (headers):
-    # name -> (returns_secret, returns_public, {pos: annot}).
-    decl_summaries: dict[str, tuple[bool, bool, dict[int, str]]] = \
+    # Summaries from declarations without bodies (headers), keyed by
+    # (qualifier, name, parameter count) like the engine's summaries:
+    # key -> (returns_secret, returns_public, {pos: annot}, required).
+    decl_summaries: dict[tuple[str, str, int],
+                         tuple[bool, bool, dict[int, str], int]] = \
+        field(default_factory=dict)
+    # (class, member) -> the member's declared type (last name
+    # component), used to resolve `member.f(...)` calls.
+    member_types: dict[tuple[str, str], str] = \
         field(default_factory=dict)
     # file -> lines containing OBF_DECLASSIFY (findings suppressed).
     declassified: dict[str, set[int]] = field(default_factory=dict)
 
+    def add_decl(self, key: tuple[str, str, int], returns_secret: bool,
+                 returns_public: bool, annots: dict[int, str],
+                 required: int) -> None:
+        """Record (or merge into) a body-less declaration's summary."""
+        ors, orp, opa, oreq = self.decl_summaries.get(
+            key, (False, False, {}, key[2]))
+        merged = dict(opa)
+        merged.update(annots)
+        self.decl_summaries[key] = (returns_secret or ors,
+                                    returns_public or orp, merged,
+                                    min(required, oreq))
+
     def merge(self, other: "Program") -> None:
         self.functions.extend(other.functions)
         self.members.update(other.members)
-        for name, (rs, rp, pa) in other.decl_summaries.items():
-            ors, orp, opa = self.decl_summaries.get(
-                name, (False, False, {}))
-            merged = dict(opa)
-            merged.update(pa)
-            self.decl_summaries[name] = (rs or ors, rp or orp, merged)
+        self.member_types.update(other.member_types)
+        for key, (rs, rp, pa, req) in other.decl_summaries.items():
+            self.add_decl(key, rs, rp, pa, req)
         for f, lines in other.declassified.items():
             self.declassified.setdefault(f, set()).update(lines)
 

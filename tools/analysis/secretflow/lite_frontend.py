@@ -148,6 +148,66 @@ def _collect_ids(toks) -> set[str]:
             if t.kind == "id" and t.text not in _NOISE_IDS}
 
 
+_DECL_PREFIX = frozenset({
+    "const", "constexpr", "static", "inline", "mutable", "volatile",
+    "thread_local", "extern", "typename", "struct", "class",
+    "OBF_SECRET", "OBF_PUBLIC",
+})
+_NOT_TYPES = _SKIP_HEAD | frozenset({
+    "auto", "new", "delete", "throw", "goto", "case", "using",
+    "typedef", "template", "namespace", "sizeof", "co_return",
+    "operator",
+})
+# Wrappers whose methods callers reach through the wrapped type.
+_POINTER_WRAPPERS = frozenset({"unique_ptr", "shared_ptr", "optional"})
+_DECL_FOLLOW = frozenset({"=", "(", "{", "[", ",", ":", ";", ")"})
+
+
+def _declared_type(toks) -> tuple[str, str] | None:
+    """(type, name) when the token run starts with a declaration
+    `[const] ns::Type<args> [*&] name ...`, else None. The type is the
+    last component of its qualified name (the wrapped type for
+    unique_ptr/shared_ptr/optional). A heuristic: `a * b;` also reads
+    as a declaration, which only costs precision."""
+    n = len(toks)
+    i = 0
+    while i < n and toks[i].text in _DECL_PREFIX:
+        i += 1
+    if i >= n or toks[i].kind != "id" or toks[i].text in _NOT_TYPES:
+        return None
+    type_name = toks[i].text
+    wrapped = ""
+    i += 1
+    while i < n:
+        if toks[i].text == "::" and i + 1 < n and \
+                toks[i + 1].kind == "id":
+            type_name = toks[i + 1].text
+            i += 2
+        elif toks[i].text == "<":
+            depth = 0
+            args: list[str] = []
+            while i < n:
+                t = toks[i].text
+                depth += {"<": 1, ">": -1, ">>": -2}.get(t, 0)
+                if toks[i].kind == "id" and t not in _DECL_PREFIX:
+                    args.append(t)
+                i += 1
+                if depth <= 0:
+                    break
+            wrapped = args[-1] if args else ""
+        else:
+            break
+    while i < n and toks[i].text in ("*", "&", "&&", "const"):
+        i += 1
+    if i >= n or toks[i].kind != "id" or toks[i].text in _NOISE_IDS:
+        return None
+    if i + 1 < n and toks[i + 1].text not in _DECL_FOLLOW:
+        return None
+    if type_name in _POINTER_WRAPPERS and wrapped:
+        type_name = wrapped
+    return type_name, toks[i].text
+
+
 def _bracket_ids(toks) -> set[str]:
     """Ids appearing inside `[...]` groups: subscript indices are
     *read* by an lvalue like `out[i]`, never written."""
@@ -169,6 +229,10 @@ class _Parser:
         self.file = file
         self.prog = Program()
         self._temp = 0
+        # The function being scanned and its parameters' and locals'
+        # declared types (name -> type).
+        self._fn: Function | None = None
+        self._locals: dict[str, str] = {}
 
     # ----- expression / statement scanning inside function bodies ---
 
@@ -202,22 +266,20 @@ class _Parser:
                 end = _match_group(toks, i + 1, "(", ")")
                 inner = toks[i + 2:end - 1]
                 args = self._split_args(inner, events)
+                call = Event("call", t.line, callee=t.text, args=args,
+                             result=self._fresh())
+                self._qualify_call(toks, i, call)
                 # Leading receiver chain: a.b.f( / a->f(.
                 j = i - 1
-                recv: set[str] = set()
                 while j >= 1 and toks[j].text in (".", "->", "::") \
                         and toks[j - 1].kind == "id":
                     if toks[j].text != "::" and \
                             toks[j - 1].text not in _NOISE_IDS:
-                        recv.add(toks[j - 1].text)
+                        call.recv.add(toks[j - 1].text)
                     j -= 2
-                if recv:
-                    args.insert(0, recv)
-                tmp = self._fresh()
-                events.append(Event("call", t.line, callee=t.text,
-                                    args=args, result=tmp))
-                ids.add(tmp)
-                last_operand = tmp
+                events.append(call)
+                ids.add(call.result)
+                last_operand = call.result
                 i = end
                 continue
             if t.text == "[" and i > 0 and (
@@ -270,6 +332,31 @@ class _Parser:
             i += 1
         return ids
 
+    def _qualify_call(self, toks, i, call: Event) -> None:
+        """Fill in what the call site says about the callee's class:
+        `Cls::f(`, `this->f(`, or `var.f(` / `var->f(` with var's
+        declared type (a local's here, a member's by the engine)."""
+        j = i - 1
+        if j < 1:
+            return
+        sep, prev = toks[j].text, toks[j - 1]
+        if sep == "::" and prev.kind == "id":
+            call.callee_qual = prev.text
+            return
+        if sep not in (".", "->"):
+            return
+        call.receiver = True
+        if prev.kind != "id":
+            return
+        if prev.text == "this":
+            call.callee_qual = self._fn.qualifier if self._fn else ""
+            return
+        chained = j >= 2 and toks[j - 2].text in (".", "->", "::")
+        if not chained and prev.text in self._locals:
+            call.callee_qual = self._locals[prev.text]
+        else:
+            call.recv_var = prev.text
+
     def _split_args(self, toks, events) -> list[set[str]]:
         args: list[set[str]] = []
         depth = 0
@@ -289,6 +376,9 @@ class _Parser:
     def scan_statement(self, toks, events, fn: Function) -> None:
         if not toks:
             return
+        declared = _declared_type(toks)
+        if declared:
+            self._locals[declared[1]] = declared[0]
         head = toks[0]
         # Local annotation: OBF_SECRET <type> name ...;
         if head.text in ("OBF_SECRET", "OBF_PUBLIC"):
@@ -531,6 +621,10 @@ class _Parser:
         paren = self._find_fn_paren(decl)
         if paren < 0:
             # Variable / member declaration.
+            declared = _declared_type(decl)
+            if declared and class_name:
+                self.prog.member_types[(class_name, declared[1])] = \
+                    declared[0]
             annot = None
             for t in decl:
                 if t.text == "OBF_SECRET":
@@ -566,34 +660,39 @@ class _Parser:
         returns_public = any(t.text == "OBF_PUBLIC" for t in head)
         close = _match_group(decl, paren, "(", ")")
         params = self._parse_params(decl[paren + 1:close - 1])
+        required = sum(1 for p in params if not p.default)
         if body is None:
-            rs, rp, pa = self.prog.decl_summaries.get(
-                name, (False, False, {}))
-            annots = dict(pa)
-            for pos, (_, pannot) in enumerate(params):
-                if pannot:
-                    annots[pos] = pannot
-            self.prog.decl_summaries[name] = (
-                rs or returns_secret, rp or returns_public, annots)
+            annots = {pos: p.annot for pos, p in enumerate(params)
+                      if p.annot}
+            self.prog.add_decl((qualifier, name, len(params)),
+                               returns_secret, returns_public, annots,
+                               required)
             return False
         fn = Function(name=name, qualifier=qualifier, file=self.file,
-                      line=name_tok.line,
+                      line=name_tok.line, required=required,
+                      variadic=any(p.pack for p in params),
                       returns_secret=returns_secret,
                       returns_public=returns_public)
-        for pname, pannot in params:
-            if pname:
-                fn.params.append(pname)
-                if pannot:
-                    fn.annots[pname] = pannot
+        self._fn = fn
+        self._locals = {}
+        for p in params:
+            if p.name:
+                fn.params.append(p.name)
+                if p.annot:
+                    fn.annots[p.name] = p.annot
+                if p.type:
+                    self._locals[p.name] = p.type
             else:
                 fn.params.append(f"__unnamed{len(fn.params)}")
         start, stop = body
         self.scan_body(toks[start:stop], fn)
+        self._fn = None
+        self._locals = {}
         self.prog.functions.append(fn)
         return True
 
-    def _parse_params(self, toks):
-        """[(name, annot)] from a parameter token run."""
+    def _parse_params(self, toks) -> list["_Param"]:
+        """One _Param per parameter of a parameter token run."""
         params = []
         depth = 0
         start = 0
@@ -611,19 +710,35 @@ class _Parser:
         for g in groups:
             if not g or (len(g) == 1 and g[0].text == "void"):
                 continue
-            annot = None
-            name = None
+            p = _Param()
             for t in g:
                 if t.text == "OBF_SECRET":
-                    annot = "secret"
+                    p.annot = "secret"
                 elif t.text == "OBF_PUBLIC":
-                    annot = "public"
+                    p.annot = "public"
+                elif t.text == "...":
+                    p.pack = True
                 elif t.text == "=":
+                    p.default = True
                     break
                 elif t.kind == "id" and t.text not in _NOISE_IDS:
-                    name = t.text
-            params.append((name, annot))
+                    p.name = t.text
+            declared = _declared_type(g)
+            if declared and declared[1] == p.name:
+                p.type = declared[0]
+            params.append(p)
         return params
+
+
+class _Param:
+    __slots__ = ("name", "annot", "default", "pack", "type")
+
+    def __init__(self):
+        self.name: str | None = None
+        self.annot: str | None = None
+        self.default = False
+        self.pack = False
+        self.type = ""
 
 
 # --------------------------------------------------------------------
