@@ -14,8 +14,10 @@ namespace obfusmem {
 
 namespace {
 
-/** The fill's xorshift64 start state is key ^ kFillSeed. */
+/** BackingStore's fill of key k is serialFill(k ^ kFillSeed)... */
 constexpr uint64_t kFillSeed = 0xdeadbeefcafef00dULL;
+/** ...and junkDataBlock(id) is serialFill(id ^ kJunkSeed). */
+constexpr uint64_t kJunkSeed = 0x0bf5ceedULL;
 
 /**
  * The fill's definition: the low bytes of 64 successive xorshift64
@@ -38,10 +40,9 @@ using FillTables = std::array<std::array<DataBlock, 256>, 8>;
 
 /**
  * Every xorshift step and the byte extraction are linear over GF(2),
- * so serialFill(key ^ kFillSeed) is the XOR of one row per key byte:
- * table t row b is serialFill's image of (b << 8t), and table 0 also
- * carries the image of kFillSeed. Each row is the row with its lowest
- * set bit cleared plus that bit's image.
+ * so serialFill(x) is the XOR of one row per byte of x: table t row b
+ * is serialFill's image of (b << 8t). Each row is the row with its
+ * lowest set bit cleared plus that bit's image.
  */
 FillTables
 makeFillTables()
@@ -51,7 +52,6 @@ makeFillTables()
         bitImage[j] = serialFill(uint64_t{1} << j);
 
     FillTables tables{};
-    tables[0][0] = serialFill(kFillSeed);
     for (int t = 0; t < 8; ++t) {
         for (unsigned b = 1; b < 256; ++b) {
             DataBlock row = tables[t][b & (b - 1)];
@@ -77,6 +77,20 @@ fillTables()
     return tables;
 }
 
+/** serialFill(x), as eight table rows. */
+DataBlock
+tableFill(uint64_t x)
+{
+    const FillTables &tables = fillTables();
+    DataBlock fill = tables[0][x & 0xff];
+    for (int t = 1; t < 8; ++t) {
+        const DataBlock &row = tables[t][(x >> (8 * t)) & 0xff];
+        for (size_t i = 0; i < fill.size(); ++i)
+            fill[i] ^= row[i];
+    }
+    return fill;
+}
+
 } // namespace
 
 DataBlock
@@ -89,14 +103,7 @@ BackingStore::read(uint64_t addr) const
         return it->second;
 
     // Deterministic "uninitialized" fill derived from the address.
-    const FillTables &tables = fillTables();
-    DataBlock junk = tables[0][key & 0xff];
-    for (int t = 1; t < 8; ++t) {
-        const DataBlock &row = tables[t][(key >> (8 * t)) & 0xff];
-        for (size_t i = 0; i < junk.size(); ++i)
-            junk[i] ^= row[i];
-    }
-    return junk;
+    return tableFill(key ^ kFillSeed);
 }
 
 void
@@ -111,6 +118,12 @@ bool
 BackingStore::populated(uint64_t addr) const
 {
     return blocks.count(blockAlign(addr)) != 0;
+}
+
+DataBlock
+junkDataBlock(uint64_t block_id)
+{
+    return tableFill(block_id ^ kJunkSeed);
 }
 
 } // namespace obfusmem

@@ -45,6 +45,15 @@ class BackingStore
     std::unordered_map<uint64_t, DataBlock> blocks;
 };
 
+/**
+ * Deterministic "uninitialized memory" content for the first read of
+ * a never-written logical ORAM block, shared by every functional ORAM
+ * structure so first-touch junk is identical across backends. It is
+ * the same xorshift fill as an unwritten BackingStore block, under
+ * another seed.
+ */
+DataBlock junkDataBlock(uint64_t block_id);
+
 } // namespace obfusmem
 
 #endif // OBFUSMEM_MEM_BACKING_STORE_HH

@@ -8,8 +8,9 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
+#include <utility>
 
-#include "oram/path_oram.hh"
+#include "mem/backing_store.hh"
 #include "util/assert.hh"
 #include "util/logging.hh"
 #include "util/serial.hh"
@@ -40,8 +41,6 @@ FlatOram::FlatOram(const Params &params_)
         static_cast<double>(params.capacityBlocks)
         / params.utilization);
     physSlots = std::max(physSlots, params.capacityBlocks + 1);
-    slotData.resize(physSlots);
-    slotBlock.assign(physSlots, kFree);
 }
 
 DataBlock
@@ -61,7 +60,7 @@ FlatOram::read(uint64_t block_id)
         return junkDataBlock(block_id);
     }
     lastReads.push_back(it->second);
-    return slotData[it->second];
+    return slots.at(it->second).data;
 }
 
 void
@@ -80,29 +79,24 @@ FlatOram::write(uint64_t block_id, const DataBlock &data)
     // Uniformly random free slot: probe the occupancy map (held
     // on-controller, so probes cost no memory traffic) until a free
     // slot comes up. Expected probes = 1/(1 - occupancy).
-    uint64_t target = kFree;
+    uint64_t target = 0;
     unsigned probes = 0;
-    while (probes < params.maxProbes) {
+    do {
+        OBF_ASSERT(probes < params.maxProbes,
+                   "Flat ORAM exhausted ", params.maxProbes,
+                   " occupancy probes (occupancy ", occupancy(),
+                   "); the structure is past its design utilization");
         ++probes;
-        uint64_t candidate = rng.randUnder(physSlots);
-        if (slotBlock[candidate] == kFree) {
-            target = candidate;
-            break;
-        }
-    }
-    OBF_ASSERT(target != kFree,
-               "Flat ORAM exhausted ", params.maxProbes,
-               " occupancy probes (occupancy ", occupancy(),
-               "); the structure is past its design utilization");
+        target = rng.randUnder(physSlots);
+    } while (slots.count(target) != 0);
     lastProbes = probes;
     maxProbesSeen = std::max(maxProbesSeen, probes);
 
     // Free the old slot (metadata-only), then place the new version.
     auto it = posMap.find(block_id);
     if (it != posMap.end())
-        slotBlock[it->second] = kFree;
-    slotBlock[target] = block_id;
-    slotData[target] = data;
+        slots.erase(it->second);
+    slots[target] = {block_id, data};
     posMap[block_id] = target;
 
     ++physWrites;
@@ -121,20 +115,16 @@ FlatOram::slotOf(uint64_t block_id) const
 bool
 FlatOram::checkInvariant() const
 {
-    uint64_t occupied = 0;
-    for (uint64_t s = 0; s < physSlots; ++s) {
-        if (slotBlock[s] == kFree)
-            continue;
-        ++occupied;
-        auto it = posMap.find(slotBlock[s]);
-        if (it == posMap.end() || it->second != s)
-            return false;
-    }
-    if (occupied != posMap.size())
+    // Distinct blocks owning distinct live slots, as many as there are
+    // live slots, leave no slot unowned or owned twice.
+    if (slots.size() != posMap.size())
         return false;
     for (const auto &[block_id, slot] : posMap) {
-        if (slot >= physSlots || slotBlock[slot] != block_id)
+        auto it = slots.find(slot);
+        if (slot >= physSlots || it == slots.end()
+            || it->second.blockId != block_id) {
             return false;
+        }
     }
     return true;
 }
@@ -151,12 +141,11 @@ FlatOram::serialize(std::ostream &os) const
     serial::putU64(os, params.capacityBlocks);
     serial::putU64(os, physSlots);
 
-    serial::putU64(os, posMap.size());
-    for (const auto &[block_id, slot] : posMap) {
-        serial::putU64(os, block_id);
+    serial::putU64(os, slots.size());
+    for (const auto &[slot, live] : slots) {
+        serial::putU64(os, live.blockId);
         serial::putU64(os, slot);
-        serial::putBytes(os, slotData[slot].data(),
-                         slotData[slot].size());
+        serial::putBytes(os, live.data.data(), live.data.size());
     }
 
     for (uint64_t word : rng.rawState())
@@ -169,11 +158,11 @@ FlatOram::serialize(std::ostream &os) const
 bool
 FlatOram::deserialize(std::istream &is)
 {
-    // Parse into locals and commit only once the whole payload has
-    // been read, so a rejected stream leaves the live structure
-    // untouched. Only the live entries are staged, never a second
-    // copy of the slot array, and nothing is reserved by a count
-    // read from the stream.
+    // Parse into a fresh structure and commit it only once the whole
+    // payload has been read and passes checkInvariant(), so a rejected
+    // stream leaves the live structure untouched. Nothing is reserved
+    // by a count read from the stream.
+    FlatOram fresh(params);
     if (!serial::expectU64(is, kFlatOramMagic)
         || !serial::expectU64(is, params.capacityBlocks)
         || !serial::expectU64(is, physSlots)) {
@@ -183,23 +172,17 @@ FlatOram::deserialize(std::istream &is)
     uint64_t live = 0;
     if (!serial::getU64(is, live))
         return false;
-    struct LiveEntry
-    {
-        uint64_t blockId;
-        uint64_t slot;
-        DataBlock data;
-    };
-    std::vector<LiveEntry> entries;
     for (uint64_t i = 0; i < live; ++i) {
-        LiveEntry entry{};
+        uint64_t slot = 0;
+        LiveSlot entry{};
         if (!serial::getU64(is, entry.blockId)
-            || !serial::getU64(is, entry.slot)
-            || entry.slot >= physSlots
+            || !serial::getU64(is, slot)
             || !serial::getBytes(is, entry.data.data(),
                                  entry.data.size())) {
             return false;
         }
-        entries.push_back(entry);
+        fresh.posMap[entry.blockId] = slot;
+        fresh.slots[slot] = entry;
     }
 
     std::array<uint64_t, 4> state{};
@@ -207,28 +190,14 @@ FlatOram::deserialize(std::istream &is)
         if (!serial::getU64(is, word))
             return false;
     }
-    uint64_t new_access_count = 0, new_phys_writes = 0,
-             new_phys_reads = 0;
-    if (!serial::getU64(is, new_access_count)
-        || !serial::getU64(is, new_phys_writes)
-        || !serial::getU64(is, new_phys_reads)) {
+    fresh.rng.setRawState(state);
+    if (!serial::getU64(is, fresh.accessCount)
+        || !serial::getU64(is, fresh.physWrites)
+        || !serial::getU64(is, fresh.physReads)
+        || !fresh.checkInvariant()) {
         return false;
     }
-
-    posMap.clear();
-    slotBlock.assign(physSlots, kFree);
-    for (const LiveEntry &entry : entries) {
-        posMap[entry.blockId] = entry.slot;
-        slotBlock[entry.slot] = entry.blockId;
-        slotData[entry.slot] = entry.data;
-    }
-    rng.setRawState(state);
-    accessCount = new_access_count;
-    physWrites = new_phys_writes;
-    physReads = new_phys_reads;
-    lastReads.clear();
-    lastWrites.clear();
-    lastProbes = 0;
+    *this = std::move(fresh);
     return true;
 }
 

@@ -19,6 +19,9 @@
  * Unlike Path ORAM there is no stash and no eviction: a write always
  * succeeds as long as a free slot exists, so the only fail-stop is
  * the probe bound (astronomically unlikely at design utilization).
+ *
+ * Only live slots are stored: a slot absent from the slot map is free,
+ * so host memory follows the blocks written, not the array.
  */
 
 #ifndef OBFUSMEM_ORAM_FLAT_ORAM_HH
@@ -101,25 +104,33 @@ class FlatOram
     std::optional<uint64_t> slotOf(uint64_t block_id) const;
 
     /**
-     * Structural invariant: the position map, slot owners, and
-     * occupancy count agree, and no two blocks share a slot.
+     * Structural invariant: the position map and the live slots agree
+     * one to one, and every slot is in range.
      */
     bool checkInvariant() const;
 
     /** Checkpoint the functional state (incl. the RNG stream). */
     void serialize(std::ostream &os) const;
-    /** Restore from serialize() output; false on format mismatch. */
+    /**
+     * Restore from serialize() output. Returns false, leaving the
+     * structure untouched, on a malformed stream, a geometry mismatch
+     * or a state that fails checkInvariant().
+     */
     bool deserialize(std::istream &is);
 
   private:
-    static constexpr uint64_t kFree = ~uint64_t{0};
+    /** The owner and content of one live slot. */
+    struct LiveSlot
+    {
+        uint64_t blockId;
+        DataBlock data;
+    };
 
     Params params;
     uint64_t physSlots;
 
-    std::vector<DataBlock> slotData;
-    /** Owning logical block per slot, or kFree. */
-    std::vector<uint64_t> slotBlock;
+    /** Live slots by index; an absent slot is free. */
+    std::unordered_map<uint64_t, LiveSlot> slots;
     std::unordered_map<uint64_t, uint64_t> posMap;
 
     Random rng;

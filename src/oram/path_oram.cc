@@ -10,25 +10,12 @@
 #include <ostream>
 #include <utility>
 
+#include "mem/backing_store.hh"
 #include "util/assert.hh"
 #include "util/logging.hh"
 #include "util/serial.hh"
 
 namespace obfusmem {
-
-DataBlock
-junkDataBlock(uint64_t block_id)
-{
-    DataBlock result{};
-    uint64_t x = block_id ^ 0x0bf5ceedULL;
-    for (auto &byte : result) {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        byte = static_cast<uint8_t>(x);
-    }
-    return result;
-}
 
 PathOram::PathOram(const Params &params_)
     : params(params_), rng(params_.seed)
@@ -37,7 +24,6 @@ PathOram::PathOram(const Params &params_)
              "unsupported tree height");
     numLeaves = uint64_t{1} << params.levels;
     numBuckets = (uint64_t{2} << params.levels) - 1;
-    slots.resize(numBuckets * params.bucketSize);
 }
 
 uint64_t
@@ -50,11 +36,9 @@ uint64_t
 PathOram::bucketOnPath(uint64_t leaf, unsigned level) const
 {
     // Heap numbering: root = 0; the leaf bucket for `leaf` is at
-    // index (2^L - 1) + leaf. Level 0 = root.
-    uint64_t node = (numLeaves - 1) + leaf;
-    for (unsigned up = params.levels; up > level; --up)
-        node = (node - 1) / 2;
-    return node;
+    // index (2^L - 1) + leaf. Level 0 = root. Numbered from 1, a
+    // node's ancestor k levels up is the node shifted right by k.
+    return ((numLeaves + leaf) >> (params.levels - level)) - 1;
 }
 
 DataBlock
@@ -84,17 +68,17 @@ PathOram::access(uint64_t block_id, const DataBlock *new_data)
         leaf = pos_it->second;
     }
 
-    // Read the whole path into the stash.
+    // Read the whole path into the stash, emptying its buckets.
     for (unsigned level = 0; level <= params.levels; ++level) {
         uint64_t bucket = bucketOnPath(leaf, level);
-        for (unsigned s = 0; s < params.bucketSize; ++s) {
+        for (unsigned s = 0; s < params.bucketSize; ++s)
             lastSlots.push_back({bucket, s});
-            Slot &slot = slots[bucket * params.bucketSize + s];
-            if (slot.valid) {
-                stash[slot.blockId] = {slot.leaf, slot.data};
-                slot.valid = false;
-            }
-        }
+        auto it = tree.find(bucket);
+        if (it == tree.end())
+            continue;
+        for (const Slot &slot : it->second)
+            stash[slot.blockId] = {slot.leaf, slot.data};
+        tree.erase(it);
     }
 
     // Remap to a fresh random leaf (the heart of the obfuscation).
@@ -138,22 +122,19 @@ PathOram::access(uint64_t block_id, const DataBlock *new_data)
     for (int level = static_cast<int>(params.levels); level >= 0;
          --level) {
         uint64_t bucket = bucketOnPath(leaf, level);
-        unsigned placed = 0;
+        std::vector<Slot> placed;
         auto it = stash.begin();
-        while (it != stash.end() && placed < params.bucketSize) {
+        while (it != stash.end() && placed.size() < params.bucketSize) {
             if (bucketOnPath(it->second.leaf, level) == bucket) {
-                Slot &slot =
-                    slots[bucket * params.bucketSize + placed];
-                slot.valid = true;
-                slot.blockId = it->first;
-                slot.leaf = it->second.leaf;
-                slot.data = it->second.data;
+                placed.push_back(
+                    {it->first, it->second.leaf, it->second.data});
                 it = stash.erase(it);
-                ++placed;
             } else {
                 ++it;
             }
         }
+        if (!placed.empty())
+            tree.emplace(bucket, std::move(placed));
     }
 
     maxStash = std::max(maxStash, stash.size());
@@ -164,17 +145,35 @@ PathOram::access(uint64_t block_id, const DataBlock *new_data)
 bool
 PathOram::checkInvariant() const
 {
+    // Each mapped block is found once below, so if the entries held
+    // number exactly the mapped blocks, nothing else is held: no stray
+    // block, and no block both in the stash and in the tree.
+    uint64_t held = stash.size();
+    for (const auto &[bucket, blocks] : tree) {
+        if (blocks.empty() || blocks.size() > params.bucketSize)
+            return false;
+        held += blocks.size();
+    }
+    if (held != posMap.size())
+        return false;
+
     for (const auto &[block_id, leaf] : posMap) {
-        if (stash.count(block_id))
+        if (leaf >= numLeaves)
+            return false;
+        auto stash_it = stash.find(block_id);
+        if (stash_it != stash.end()) {
+            if (stash_it->second.leaf != leaf)
+                return false;
             continue;
+        }
         bool found = false;
         for (unsigned level = 0; level <= params.levels && !found;
              ++level) {
-            uint64_t bucket = bucketOnPath(leaf, level);
-            for (unsigned s = 0; s < params.bucketSize; ++s) {
-                const Slot &slot =
-                    slots[bucket * params.bucketSize + s];
-                if (slot.valid && slot.blockId == block_id) {
+            auto it = tree.find(bucketOnPath(leaf, level));
+            if (it == tree.end())
+                continue;
+            for (const Slot &slot : it->second) {
+                if (slot.blockId == block_id) {
                     if (slot.leaf != leaf)
                         return false;
                     found = true;
@@ -191,12 +190,10 @@ PathOram::checkInvariant() const
 double
 PathOram::occupancy() const
 {
-    uint64_t valid = 0;
-    for (const auto &slot : slots) {
-        if (slot.valid)
-            ++valid;
-    }
-    return static_cast<double>(valid) / slots.size();
+    uint64_t real = 0;
+    for (const auto &[bucket, blocks] : tree)
+        real += blocks.size();
+    return static_cast<double>(real) / physicalBlocks();
 }
 
 std::optional<uint64_t>
@@ -233,18 +230,18 @@ PathOram::serialize(std::ostream &os) const
         serial::putBytes(os, entry.data.data(), entry.data.size());
     }
 
-    uint64_t valid = 0;
-    for (const auto &slot : slots)
-        valid += slot.valid ? 1 : 0;
-    serial::putU64(os, valid);
-    for (uint64_t i = 0; i < slots.size(); ++i) {
-        const Slot &slot = slots[i];
-        if (!slot.valid)
-            continue;
-        serial::putU64(os, i);
-        serial::putU64(os, slot.blockId);
-        serial::putU64(os, slot.leaf);
-        serial::putBytes(os, slot.data.data(), slot.data.size());
+    uint64_t real = 0;
+    for (const auto &[bucket, blocks] : tree)
+        real += blocks.size();
+    serial::putU64(os, real);
+    for (const auto &[bucket, blocks] : tree) {
+        for (uint64_t s = 0; s < blocks.size(); ++s) {
+            serial::putU64(os, bucket * params.bucketSize + s);
+            serial::putU64(os, blocks[s].blockId);
+            serial::putU64(os, blocks[s].leaf);
+            serial::putBytes(os, blocks[s].data.data(),
+                             blocks[s].data.size());
+        }
     }
 
     for (uint64_t word : rng.rawState())
@@ -258,10 +255,12 @@ PathOram::serialize(std::ostream &os) const
 bool
 PathOram::deserialize(std::istream &is)
 {
-    // Parse everything into locals and commit only once the whole
-    // payload has been read, so a rejected stream leaves the live
-    // structure untouched. Counts from the stream only bound loops
-    // that fail at the first short read; nothing is reserved by them.
+    // Parse into a fresh structure and commit it only once the whole
+    // payload has been read and passes checkInvariant(), so a rejected
+    // stream leaves the live structure untouched. Counts from the
+    // stream only bound loops that fail at the first short read;
+    // nothing is reserved by them.
+    PathOram fresh(params);
     if (!serial::expectU64(is, kPathOramMagic)
         || !serial::expectU64(is, params.levels)
         || !serial::expectU64(is, params.bucketSize)) {
@@ -271,18 +270,16 @@ PathOram::deserialize(std::istream &is)
     uint64_t pos_entries = 0;
     if (!serial::getU64(is, pos_entries))
         return false;
-    std::unordered_map<uint64_t, uint64_t> new_pos_map;
     for (uint64_t i = 0; i < pos_entries; ++i) {
         uint64_t block_id = 0, leaf = 0;
         if (!serial::getU64(is, block_id) || !serial::getU64(is, leaf))
             return false;
-        new_pos_map[block_id] = leaf;
+        fresh.posMap[block_id] = leaf;
     }
 
     uint64_t stash_entries = 0;
     if (!serial::getU64(is, stash_entries))
         return false;
-    std::unordered_map<uint64_t, StashEntry> new_stash;
     for (uint64_t i = 0; i < stash_entries; ++i) {
         uint64_t block_id = 0;
         StashEntry entry{};
@@ -292,27 +289,27 @@ PathOram::deserialize(std::istream &is)
                                  entry.data.size())) {
             return false;
         }
-        new_stash[block_id] = entry;
+        fresh.stash[block_id] = entry;
     }
 
-    // Only the valid slots are staged (O(entries)), never a second
-    // copy of the whole tree.
-    uint64_t valid = 0;
-    if (!serial::getU64(is, valid))
+    uint64_t real = 0;
+    if (!serial::getU64(is, real))
         return false;
-    std::vector<std::pair<uint64_t, Slot>> new_slots;
-    for (uint64_t i = 0; i < valid; ++i) {
+    for (uint64_t i = 0; i < real; ++i) {
         uint64_t index = 0;
         Slot slot{};
-        if (!serial::getU64(is, index) || index >= slots.size()
+        if (!serial::getU64(is, index) || index >= physicalBlocks()
             || !serial::getU64(is, slot.blockId)
             || !serial::getU64(is, slot.leaf)
             || !serial::getBytes(is, slot.data.data(),
                                  slot.data.size())) {
             return false;
         }
-        slot.valid = true;
-        new_slots.emplace_back(index, slot);
+        // A bucket's blocks fill its slots in order, with no gaps.
+        auto &blocks = fresh.tree[index / params.bucketSize];
+        if (index % params.bucketSize != blocks.size())
+            return false;
+        blocks.push_back(slot);
     }
 
     std::array<uint64_t, 4> state{};
@@ -320,27 +317,18 @@ PathOram::deserialize(std::istream &is)
         if (!serial::getU64(is, word))
             return false;
     }
-    uint64_t max_stash = 0, max_transient = 0, new_overflows = 0,
-             new_access_count = 0;
+    fresh.rng.setRawState(state);
+    uint64_t max_stash = 0, max_transient = 0;
     if (!serial::getU64(is, max_stash)
         || !serial::getU64(is, max_transient)
-        || !serial::getU64(is, new_overflows)
-        || !serial::getU64(is, new_access_count)) {
+        || !serial::getU64(is, fresh.overflows)
+        || !serial::getU64(is, fresh.accessCount)
+        || !fresh.checkInvariant()) {
         return false;
     }
-
-    posMap = std::move(new_pos_map);
-    stash = std::move(new_stash);
-    slots.assign(slots.size(), Slot{});
-    for (const auto &[index, slot] : new_slots)
-        slots[index] = slot;
-    rng.setRawState(state);
-    maxStash = max_stash;
-    maxTransientStash = max_transient;
-    overflows = new_overflows;
-    accessCount = new_access_count;
-    lastPeakStash = 0;
-    lastSlots.clear();
+    fresh.maxStash = max_stash;
+    fresh.maxTransientStash = max_transient;
+    *this = std::move(fresh);
     return true;
 }
 

@@ -9,6 +9,9 @@
  * the root-to-l path or in the stash. Every access reads the whole
  * path into the stash, remaps the block to a fresh random leaf, and
  * greedily evicts stash blocks back onto the old path.
+ *
+ * Only real blocks are stored: a bucket absent from the tree map holds
+ * Z dummies, so host memory follows the blocks touched, not the tree.
  */
 
 #ifndef OBFUSMEM_ORAM_PATH_ORAM_HH
@@ -25,13 +28,6 @@
 #include "util/stats.hh"
 
 namespace obfusmem {
-
-/**
- * Deterministic "uninitialized memory" content for the first read of
- * a never-written block, shared by every functional ORAM structure so
- * first-touch junk is identical across backends.
- */
-DataBlock junkDataBlock(uint64_t block_id);
 
 /**
  * The functional Path ORAM structure.
@@ -125,8 +121,10 @@ class PathOram
     uint64_t accesses() const { return accessCount; }
 
     /**
-     * Check the Path ORAM invariant for every mapped block: it must
-     * be in the stash or in a bucket on its assigned path.
+     * Check the Path ORAM invariant: every mapped block is held
+     * exactly once, under its assigned leaf, in the stash or in a
+     * bucket on its path; nothing else is held; no bucket holds more
+     * than Z blocks.
      */
     bool checkInvariant() const;
 
@@ -145,16 +143,17 @@ class PathOram
     void serialize(std::ostream &os) const;
 
     /**
-     * Restore from serialize() output. Returns false (leaving the
-     * structure unspecified) on a malformed stream or a geometry
-     * mismatch with this instance's params.
+     * Restore from serialize() output. Returns false, leaving the
+     * structure untouched, on a malformed stream, a geometry mismatch
+     * with this instance's params, or a state that fails
+     * checkInvariant().
      */
     bool deserialize(std::istream &is);
 
   private:
+    /** A real block in a bucket slot. */
     struct Slot
     {
-        bool valid = false;
         uint64_t blockId = 0;
         uint64_t leaf = 0;
         DataBlock data{};
@@ -175,7 +174,12 @@ class PathOram
     Params params;
     uint64_t numLeaves;
     uint64_t numBuckets;
-    std::vector<Slot> slots;
+    /**
+     * The real blocks of each non-empty bucket, in slot order (at most
+     * Z). Keyed by bucket, not slot, so a path costs one lookup per
+     * level.
+     */
+    std::unordered_map<uint64_t, std::vector<Slot>> tree;
 
     std::unordered_map<uint64_t, uint64_t> posMap;
     std::unordered_map<uint64_t, StashEntry> stash;

@@ -9,7 +9,7 @@
 #include <ostream>
 #include <utility>
 
-#include "oram/path_oram.hh"
+#include "mem/backing_store.hh"
 #include "util/assert.hh"
 #include "util/logging.hh"
 #include "util/serial.hh"
@@ -20,10 +20,6 @@ WriteOnlyOram::WriteOnlyOram(const Params &params_)
     : params(params_)
 {
     fatal_if(params.capacityBlocks == 0, "empty write-only ORAM");
-    mainArea.resize(params.capacityBlocks);
-    holdArea.resize(params.capacityBlocks);
-    holdOwner.assign(params.capacityBlocks, kFree);
-    written.assign(params.capacityBlocks, 0);
 }
 
 DataBlock
@@ -31,9 +27,10 @@ WriteOnlyOram::freshest(uint64_t block_id) const
 {
     auto it = holdPos.find(block_id);
     if (it != holdPos.end())
-        return holdArea[it->second];
-    if (written[block_id])
-        return mainArea[block_id];
+        return holdArea.at(it->second).data;
+    auto main_it = mainArea.find(block_id);
+    if (main_it != mainArea.end())
+        return main_it->second;
     return junkDataBlock(block_id);
 }
 
@@ -47,17 +44,13 @@ WriteOnlyOram::read(uint64_t block_id)
     lastReads.clear();
     lastWrites.clear();
 
-    auto it = holdPos.find(block_id);
-    if (it != holdPos.end()) {
-        lastReads.push_back(params.capacityBlocks + it->second);
-        return holdArea[it->second];
-    }
     // Never-written blocks still cost one main-area read; the
     // returned content is deterministic junk.
-    lastReads.push_back(block_id);
-    if (written[block_id])
-        return mainArea[block_id];
-    return junkDataBlock(block_id);
+    auto it = holdPos.find(block_id);
+    lastReads.push_back(it != holdPos.end()
+                            ? params.capacityBlocks + it->second
+                            : block_id);
+    return freshest(block_id);
 }
 
 void
@@ -76,32 +69,33 @@ WriteOnlyOram::write(uint64_t block_id, const DataBlock &data)
     // (or a newer write superseded) whatever lived here - see the
     // header's reuse argument. A firing assert means the refresh
     // schedule is broken and data would be silently lost.
-    OBF_ASSERT(holdOwner[w] == kFree,
+    auto reused = holdArea.find(w);
+    OBF_ASSERT(reused == holdArea.end(),
                "write-only ORAM holding slot ", w,
-               " reused before its block ", holdOwner[w],
+               " reused before its block ", reused->second.blockId,
                " was propagated (write ", writeCounter, ")");
 
     // Step 1: the logical write, appended to the holding area.
     auto old_it = holdPos.find(block_id);
     if (old_it != holdPos.end())
-        holdOwner[old_it->second] = kFree;
-    holdArea[w] = data;
-    holdOwner[w] = block_id;
+        holdArea.erase(old_it->second);
+    holdArea[w] = {block_id, data};
     holdPos[block_id] = w;
-    written[block_id] = 1;
     ++physWrites;
     lastWrites.push_back(n + w);
 
     // Step 2: round-robin refresh of main block r = c mod N. The
     // freshest copy of r (possibly the data just written, when
     // block_id == r) is propagated to M[r]; if it came from holding,
-    // that slot is released. The physical address depends only on
-    // the write counter.
+    // that slot is released. A copy already in main is rewritten
+    // unchanged. The physical address depends only on the write
+    // counter.
     const uint64_t r = w;
-    mainArea[r] = freshest(r);
     auto ref_it = holdPos.find(r);
     if (ref_it != holdPos.end()) {
-        holdOwner[ref_it->second] = kFree;
+        auto held = holdArea.find(ref_it->second);
+        mainArea[r] = held->second.data;
+        holdArea.erase(held);
         holdPos.erase(ref_it);
     }
     ++physWrites;
@@ -119,31 +113,35 @@ WriteOnlyOram::inHolding(uint64_t block_id) const
 bool
 WriteOnlyOram::checkInvariant() const
 {
-    uint64_t owned = 0;
-    for (uint64_t s = 0; s < params.capacityBlocks; ++s) {
-        if (holdOwner[s] == kFree)
-            continue;
-        ++owned;
-        auto it = holdPos.find(holdOwner[s]);
-        if (it == holdPos.end() || it->second != s)
-            return false;
-        if (!written[holdOwner[s]])
+    const uint64_t n = params.capacityBlocks;
+    for (const auto &[block_id, data] : mainArea) {
+        if (block_id >= n)
             return false;
     }
-    if (owned != holdPos.size())
+    // Distinct blocks owning distinct live slots, as many as there are
+    // live slots, leave no slot unowned or owned twice.
+    if (holdArea.size() != holdPos.size())
         return false;
     for (const auto &[block_id, slot] : holdPos) {
-        if (slot >= params.capacityBlocks
-            || holdOwner[slot] != block_id) {
+        auto it = holdArea.find(slot);
+        if (block_id >= n || slot >= n || it == holdArea.end()
+            || it->second.blockId != block_id) {
             return false;
         }
+        // H[slot] was last written `age` writes ago, so age must be
+        // below the write count; its block's refresh comes `ahead`
+        // writes after that write, and must still be to come.
+        const uint64_t age = ((writeCounter - 1) % n + n - slot) % n;
+        const uint64_t ahead = (block_id + n - slot) % n;
+        if (age >= writeCounter || ahead <= age)
+            return false;
     }
     return true;
 }
 
 namespace {
-/** "WORAMv1\0" as a little-endian u64 format tag. */
-constexpr uint64_t kWoOramMagic = 0x0031764d41524f57ULL;
+/** "WORAMv2\0" as a little-endian u64 format tag. */
+constexpr uint64_t kWoOramMagic = 0x0032764d41524f57ULL;
 } // namespace
 
 void
@@ -153,19 +151,17 @@ WriteOnlyOram::serialize(std::ostream &os) const
     serial::putU64(os, params.capacityBlocks);
     serial::putU64(os, writeCounter);
 
-    for (uint64_t a = 0; a < params.capacityBlocks; ++a) {
-        serial::putU64(os, written[a]);
-        if (written[a])
-            serial::putBytes(os, mainArea[a].data(),
-                             mainArea[a].size());
+    serial::putU64(os, mainArea.size());
+    for (const auto &[block_id, data] : mainArea) {
+        serial::putU64(os, block_id);
+        serial::putBytes(os, data.data(), data.size());
     }
 
-    serial::putU64(os, holdPos.size());
-    for (const auto &[block_id, slot] : holdPos) {
-        serial::putU64(os, block_id);
+    serial::putU64(os, holdArea.size());
+    for (const auto &[slot, held] : holdArea) {
+        serial::putU64(os, held.blockId);
         serial::putU64(os, slot);
-        serial::putBytes(os, holdArea[slot].data(),
-                         holdArea[slot].size());
+        serial::putBytes(os, held.data.data(), held.data.size());
     }
 
     serial::putU64(os, accessCount);
@@ -176,79 +172,51 @@ WriteOnlyOram::serialize(std::ostream &os) const
 bool
 WriteOnlyOram::deserialize(std::istream &is)
 {
-    // Parse into locals and commit only once the whole payload has
-    // been read, so a rejected stream leaves the live structure
-    // untouched. Only written blocks and held entries are staged,
-    // never a second copy of either area, and nothing is reserved by
-    // a count read from the stream.
-    uint64_t write_counter = 0;
+    // Parse into a fresh structure and commit it only once the whole
+    // payload has been read and passes checkInvariant(), so a rejected
+    // stream leaves the live structure untouched. Nothing is reserved
+    // by a count read from the stream.
+    WriteOnlyOram fresh(params);
+    uint64_t main_entries = 0;
     if (!serial::expectU64(is, kWoOramMagic)
         || !serial::expectU64(is, params.capacityBlocks)
-        || !serial::getU64(is, write_counter)) {
+        || !serial::getU64(is, fresh.writeCounter)
+        || !serial::getU64(is, main_entries)) {
         return false;
     }
-
-    std::vector<std::pair<uint64_t, DataBlock>> main_entries;
-    for (uint64_t a = 0; a < params.capacityBlocks; ++a) {
-        uint64_t w = 0;
-        if (!serial::getU64(is, w) || w > 1)
-            return false;
-        if (!w)
-            continue;
+    for (uint64_t i = 0; i < main_entries; ++i) {
+        uint64_t block_id = 0;
         DataBlock data{};
-        if (!serial::getBytes(is, data.data(), data.size()))
+        if (!serial::getU64(is, block_id)
+            || !serial::getBytes(is, data.data(), data.size())) {
             return false;
-        main_entries.emplace_back(a, data);
+        }
+        fresh.mainArea[block_id] = data;
     }
 
     uint64_t held = 0;
     if (!serial::getU64(is, held))
         return false;
-    struct HeldEntry
-    {
-        uint64_t blockId;
-        uint64_t slot;
-        DataBlock data;
-    };
-    std::vector<HeldEntry> held_entries;
     for (uint64_t i = 0; i < held; ++i) {
-        HeldEntry entry{};
-        if (!serial::getU64(is, entry.blockId)
-            || !serial::getU64(is, entry.slot)
-            || entry.slot >= params.capacityBlocks
-            || !serial::getBytes(is, entry.data.data(),
-                                 entry.data.size())) {
+        uint64_t slot = 0;
+        HeldCopy copy{};
+        if (!serial::getU64(is, copy.blockId)
+            || !serial::getU64(is, slot)
+            || !serial::getBytes(is, copy.data.data(),
+                                 copy.data.size())) {
             return false;
         }
-        held_entries.push_back(entry);
+        fresh.holdPos[copy.blockId] = slot;
+        fresh.holdArea[slot] = copy;
     }
 
-    uint64_t new_access_count = 0, new_phys_writes = 0,
-             new_phys_reads = 0;
-    if (!serial::getU64(is, new_access_count)
-        || !serial::getU64(is, new_phys_writes)
-        || !serial::getU64(is, new_phys_reads)) {
+    if (!serial::getU64(is, fresh.accessCount)
+        || !serial::getU64(is, fresh.physWrites)
+        || !serial::getU64(is, fresh.physReads)
+        || !fresh.checkInvariant()) {
         return false;
     }
-
-    writeCounter = write_counter;
-    written.assign(params.capacityBlocks, 0);
-    for (const auto &[a, data] : main_entries) {
-        written[a] = 1;
-        mainArea[a] = data;
-    }
-    holdPos.clear();
-    holdOwner.assign(params.capacityBlocks, kFree);
-    for (const HeldEntry &entry : held_entries) {
-        holdPos[entry.blockId] = entry.slot;
-        holdOwner[entry.slot] = entry.blockId;
-        holdArea[entry.slot] = entry.data;
-    }
-    accessCount = new_access_count;
-    physWrites = new_phys_writes;
-    physReads = new_phys_reads;
-    lastReads.clear();
-    lastWrites.clear();
+    *this = std::move(fresh);
     return true;
 }
 

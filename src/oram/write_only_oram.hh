@@ -25,6 +25,10 @@
  * Costs: write amplification exactly 2x, storage 2x, no stash, no
  * randomness - the structure cannot deadlock or fail probabilistic
  * bounds, unlike Path ORAM's stash or Flat ORAM's probe bound.
+ *
+ * Only live copies are stored: a block absent from the main map has
+ * never reached main (it reads as junk unless held), and a slot absent
+ * from the holding map is free.
  */
 
 #ifndef OBFUSMEM_ORAM_WRITE_ONLY_ORAM_HH
@@ -90,37 +94,45 @@ class WriteOnlyOram
     uint64_t holdingCount() const { return holdPos.size(); }
 
     /**
-     * Structural invariant: every holding slot's owner agrees with the
-     * position map, every mapped block's copy is where the map says,
-     * and no holding slot is owned by two blocks.
+     * Structural invariant: the holding slots and their owners agree
+     * one to one, every block and slot is in range, and every held
+     * copy's refresh is still ahead, so no holding slot is reused
+     * before it drains.
      */
     bool checkInvariant() const;
 
     /** Checkpoint the functional state. */
     void serialize(std::ostream &os) const;
-    /** Restore from serialize() output; false on format mismatch. */
+    /**
+     * Restore from serialize() output. Returns false, leaving the
+     * structure untouched, on a malformed stream, a geometry mismatch
+     * or a state that fails checkInvariant().
+     */
     bool deserialize(std::istream &is);
 
   private:
-    static constexpr uint64_t kFree = ~uint64_t{0};
+    /** The owner and content of one live holding slot. */
+    struct HeldCopy
+    {
+        uint64_t blockId;
+        DataBlock data;
+    };
 
     /** Freshest copy of a block, resolving holding vs main vs junk. */
     DataBlock freshest(uint64_t block_id) const;
 
     Params params;
 
-    std::vector<DataBlock> mainArea;
-    std::vector<DataBlock> holdArea;
-    /** Owning logical block per holding slot, or kFree. */
-    std::vector<uint64_t> holdOwner;
+    /** Main-area copies by block; an absent block never reached main. */
+    std::unordered_map<uint64_t, DataBlock> mainArea;
+    /** Live holding slots by index; an absent slot is free. */
+    std::unordered_map<uint64_t, HeldCopy> holdArea;
     /**
      * Holding slot of a block whose freshest copy is in holding.
      * Blocks absent from this map are served from main (or junk if
      * never written).
      */
     std::unordered_map<uint64_t, uint64_t> holdPos;
-    /** Blocks that have ever been logically written. */
-    std::vector<uint8_t> written;
 
     uint64_t writeCounter = 0;
     uint64_t accessCount = 0;

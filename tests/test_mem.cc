@@ -109,10 +109,10 @@ namespace {
 
 /** The fill's defining serial xorshift64 loop, kept as the oracle. */
 DataBlock
-serialXorshiftFill(uint64_t key)
+serialXorshiftFill(uint64_t key, uint64_t seed = 0xdeadbeefcafef00dULL)
 {
     DataBlock junk;
-    uint64_t x = key ^ 0xdeadbeefcafef00dULL;
+    uint64_t x = key ^ seed;
     for (size_t i = 0; i < junk.size(); ++i) {
         x ^= x << 13;
         x ^= x >> 7;
@@ -148,6 +148,22 @@ TEST(BackingStore, UnwrittenFillMatchesSerialXorshift)
     }
     const uint64_t top = blockAlign(~0ull);
     EXPECT_EQ(full.read(top), serialXorshiftFill(top));
+}
+
+TEST(BackingStore, OramJunkMatchesSerialXorshift)
+{
+    // The ORAMs' first-touch junk is the same fill under its own seed:
+    // small block ids, then random ids over the full 64-bit range.
+    for (uint64_t id = 0; id < 10000; ++id)
+        ASSERT_EQ(junkDataBlock(id), serialXorshiftFill(id, 0x0bf5ceed))
+            << "id " << id;
+    Random rng(0x0bf5);
+    for (int i = 0; i < 100000; ++i) {
+        uint64_t id = rng.next();
+        ASSERT_EQ(junkDataBlock(id), serialXorshiftFill(id, 0x0bf5ceed))
+            << "id " << id;
+    }
+    EXPECT_EQ(junkDataBlock(~0ull), serialXorshiftFill(~0ull, 0x0bf5ceed));
 }
 
 TEST(BackingStore, SubBlockAddressesAlias)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Path ORAM tests: the functional algorithm's invariants and data
- * integrity, plus the two timing models.
+ * integrity, plus the two timing models; and all three functional
+ * ORAMs at the paper's scale.
  */
 
 #include <gtest/gtest.h>
@@ -9,12 +10,84 @@
 #include <map>
 #include <sstream>
 
+#include "oram/flat_oram.hh"
 #include "oram/oram_controller.hh"
 #include "oram/path_oram.hh"
+#include "oram/write_only_oram.hh"
 #include "system/system.hh"
 #include "util/random.hh"
+#include "util/serial.hh"
 
 using namespace obfusmem;
+
+namespace {
+
+/**
+ * 1000 seeded random reads and writes over @p block_space, each read
+ * checked against a reference map (never-written blocks read as
+ * junk), then the invariant and every written block.
+ */
+template <typename Oram>
+void
+matchesReference(Oram &oram, uint64_t block_space)
+{
+    Random rng(block_space);
+    std::map<uint64_t, DataBlock> reference;
+    for (int op = 0; op < 1000; ++op) {
+        uint64_t block = rng.randUnder(block_space);
+        if (rng.chance(0.5)) {
+            DataBlock data;
+            rng.fillBytes(data.data(), data.size());
+            oram.write(block, data);
+            reference[block] = data;
+        } else {
+            auto it = reference.find(block);
+            ASSERT_EQ(oram.read(block), it == reference.end()
+                                            ? junkDataBlock(block)
+                                            : it->second)
+                << "op " << op;
+        }
+    }
+    EXPECT_TRUE(oram.checkInvariant());
+    for (const auto &[block, data] : reference)
+        ASSERT_EQ(oram.read(block), data) << "block " << block;
+}
+
+/**
+ * A hand-built PathOram checkpoint (L=3, Z=4) that maps block 5 to
+ * leaf 0 and holds it in the stash if @p in_stash and at each of the
+ * tree slot indices @p tree_slots.
+ */
+std::string
+blockFiveCheckpoint(bool in_stash, const std::vector<uint64_t> &tree_slots)
+{
+    const DataBlock data{5};
+    std::stringstream os;
+    serial::putU64(os, 0x0031764d41524f50ULL); // "PORAMv1\0"
+    serial::putU64(os, 3);
+    serial::putU64(os, 4);
+    serial::putU64(os, 1); // position map: block 5 -> leaf 0
+    serial::putU64(os, 5);
+    serial::putU64(os, 0);
+    serial::putU64(os, in_stash ? 1 : 0);
+    if (in_stash) {
+        serial::putU64(os, 5);
+        serial::putU64(os, 0);
+        serial::putBytes(os, data.data(), data.size());
+    }
+    serial::putU64(os, tree_slots.size());
+    for (uint64_t index : tree_slots) {
+        serial::putU64(os, index);
+        serial::putU64(os, 5);
+        serial::putU64(os, 0);
+        serial::putBytes(os, data.data(), data.size());
+    }
+    for (uint64_t word : {1, 2, 3, 4, 0, 0, 0, 0}) // RNG, counters
+        serial::putU64(os, word);
+    return os.str();
+}
+
+} // namespace
 
 TEST(PathOram, ReadAfterWrite)
 {
@@ -47,6 +120,31 @@ TEST(PathOram, PaperGeometryAmplification)
     params.levels = 24;
     PathOram oram(params);
     EXPECT_EQ(oram.pathBlocks(), 100u);
+}
+
+TEST(PaperScale, PathOramMatchesReference)
+{
+    PathOram::Params params;
+    params.levels = 24;
+    PathOram oram(params);
+    matchesReference(oram, oram.capacityBlocks());
+    EXPECT_EQ(oram.stashOverflows(), 0u);
+}
+
+TEST(PaperScale, FlatOramMatchesReference)
+{
+    FlatOram::Params params;
+    params.capacityBlocks = 1ull << 27; // 8 GB of 64 B blocks
+    FlatOram oram(params);
+    matchesReference(oram, params.capacityBlocks);
+}
+
+TEST(PaperScale, WriteOnlyOramMatchesReference)
+{
+    WriteOnlyOram::Params params;
+    params.capacityBlocks = 1ull << 27;
+    WriteOnlyOram oram(params);
+    matchesReference(oram, params.capacityBlocks);
 }
 
 class PathOramRandomOps
@@ -238,6 +336,43 @@ TEST(PathOram, SerializeRoundTripsAndReplaysIdentically)
     std::stringstream cut(bytes.substr(0, bytes.size() / 2));
     PathOram c(params);
     EXPECT_FALSE(c.deserialize(cut));
+}
+
+TEST(PathOram, RestoreRejectsInconsistentPlacement)
+{
+    PathOram::Params params;
+    params.levels = 3;
+    PathOram oram(params);
+    std::map<uint64_t, DataBlock> reference;
+    for (uint64_t block = 0; block < 6; ++block) {
+        reference[block] = DataBlock{static_cast<uint8_t>(block + 1)};
+        oram.write(block, reference[block]);
+    }
+
+    // Leaf 0's path runs through buckets 0, 1, 3 and 7 (slot 4b..4b+3).
+    const std::vector<std::string> bad = {
+        blockFiveCheckpoint(true, {0}),     // in the stash and the root
+        blockFiveCheckpoint(false, {0, 4}), // twice on its path
+        blockFiveCheckpoint(false, {32}),   // in leaf 1's bucket
+        blockFiveCheckpoint(false, {1}),    // root slot 1, slot 0 empty
+        blockFiveCheckpoint(false, {}),     // mapped but held nowhere
+    };
+    for (size_t i = 0; i < bad.size(); ++i) {
+        std::stringstream is(bad[i]);
+        EXPECT_FALSE(oram.deserialize(is)) << "checkpoint " << i;
+    }
+    EXPECT_TRUE(oram.checkInvariant());
+    for (const auto &[block, data] : reference)
+        EXPECT_EQ(oram.read(block), data) << "block " << block;
+
+    // The consistent placements restore.
+    for (const std::string &good :
+         {blockFiveCheckpoint(true, {}), blockFiveCheckpoint(false, {28})}) {
+        std::stringstream is(good);
+        PathOram copy(params);
+        ASSERT_TRUE(copy.deserialize(is));
+        EXPECT_EQ(copy.read(5), DataBlock{5});
+    }
 }
 
 TEST(PathOram, OccupancyNeverExceedsOne)

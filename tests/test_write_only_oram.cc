@@ -29,6 +29,39 @@ patternBlock(uint8_t tag)
     return d;
 }
 
+/** Bytes of one checkpointed entry: block id, slot, 64 data bytes. */
+constexpr size_t kEntryBytes = 8 + 8 + blockBytes;
+
+/** Field offsets within a checkpointed entry. */
+constexpr size_t kBlockField = 0, kSlotField = 8;
+
+/**
+ * Copy one field of the checkpoint entry at byte offset @p from into
+ * the entry at @p to: the slot, so that two blocks claim one slot, or
+ * the block id, so that one block claims two slots.
+ */
+std::string
+copyField(std::string bytes, size_t from, size_t to, size_t field)
+{
+    const std::string value = bytes.substr(from + field, 8);
+    bytes.replace(to + field, 8, value);
+    return bytes;
+}
+
+/**
+ * Inconsistent variants of a checkpoint with three consecutive
+ * entries from byte offset @p at: two blocks in one slot; one block in
+ * two slots; and both at once, which leaves as many blocks as slots.
+ */
+std::vector<std::string>
+sharedSlotsAndBlocks(const std::string &bytes, size_t at)
+{
+    const size_t second = at + kEntryBytes, third = second + kEntryBytes;
+    const std::string taken = copyField(bytes, at, second, kSlotField);
+    return {taken, copyField(bytes, at, second, kBlockField),
+            copyField(taken, second, third, kBlockField)};
+}
+
 /** MemSink that completes every request immediately (zero latency). */
 class ImmediateSink : public MemSink
 {
@@ -195,6 +228,37 @@ TEST(FlatOram, SerializeRoundTripsAndReplaysIdentically)
     EXPECT_FALSE(c.deserialize(cut));
 }
 
+TEST(FlatOram, RestoreRejectsSharedSlotsAndBlocks)
+{
+    FlatOram::Params params;
+    params.capacityBlocks = 64;
+    FlatOram oram(params);
+    std::map<uint64_t, DataBlock> reference;
+    for (uint8_t block = 1; block <= 3; ++block) {
+        reference[block] = patternBlock(block);
+        oram.write(block, reference[block]);
+    }
+
+    std::stringstream snap;
+    oram.serialize(snap);
+    const std::string bytes = snap.str();
+    // Magic, capacity, slots and the live count precede the entries.
+    for (const std::string &bad : sharedSlotsAndBlocks(bytes, 32)) {
+        std::stringstream is(bad);
+        EXPECT_FALSE(oram.deserialize(is));
+    }
+    EXPECT_TRUE(oram.checkInvariant());
+    for (const auto &[block, data] : reference)
+        EXPECT_EQ(oram.read(block), data) << "block " << block;
+
+    // The untouched checkpoint still restores.
+    std::stringstream clean(bytes);
+    FlatOram copy(params);
+    ASSERT_TRUE(copy.deserialize(clean));
+    for (const auto &[block, data] : reference)
+        EXPECT_EQ(copy.read(block), data) << "block " << block;
+}
+
 TEST(FlatOramDeathTest, OverdrivingPastPhysicalCapacityFailStops)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -351,6 +415,75 @@ TEST(WriteOnlyOram, SerializeRoundTripsAndReplaysIdentically)
     std::stringstream cut(bytes.substr(0, bytes.size() / 2));
     WriteOnlyOram c(params);
     EXPECT_FALSE(c.deserialize(cut));
+}
+
+TEST(WriteOnlyOram, RestoreRejectsInconsistentHolding)
+{
+    WriteOnlyOram::Params params;
+    params.capacityBlocks = 16;
+    WriteOnlyOram oram(params);
+    // Blocks 9, 10 and 11 go to H[0], H[1] and H[2]; block 9 is
+    // refreshed at write 9.
+    std::map<uint64_t, DataBlock> reference;
+    for (uint8_t block = 9; block <= 11; ++block) {
+        reference[block] = patternBlock(block);
+        oram.write(block, reference[block]);
+    }
+
+    std::stringstream snap;
+    oram.serialize(snap);
+    const std::string bytes = snap.str();
+    // The three held entries end the checkpoint, before three counters.
+    const size_t held = bytes.size() - 24 - 3 * kEntryBytes;
+    for (const std::string &bad : sharedSlotsAndBlocks(bytes, held)) {
+        std::stringstream is(bad);
+        EXPECT_FALSE(oram.deserialize(is));
+    }
+
+    // A write count past block 9's refresh leaves H[0] undrainable.
+    std::string late = bytes;
+    const uint64_t write_counter = 12;
+    late.replace(16, 8, reinterpret_cast<const char *>(&write_counter),
+                 8);
+    std::stringstream stale(late);
+    EXPECT_FALSE(oram.deserialize(stale));
+
+    EXPECT_TRUE(oram.checkInvariant());
+    for (const auto &[block, data] : reference)
+        EXPECT_EQ(oram.read(block), data) << "block " << block;
+
+    std::stringstream clean(bytes);
+    WriteOnlyOram copy(params);
+    ASSERT_TRUE(copy.deserialize(clean));
+    for (const auto &[block, data] : reference)
+        EXPECT_EQ(copy.read(block), data) << "block " << block;
+}
+
+TEST(WriteOnlyOram, CheckpointIsProportionalToTouchedBlocks)
+{
+    // 8 GB of 64 B blocks: a per-block word alone would be 1 GiB.
+    WriteOnlyOram::Params params;
+    params.capacityBlocks = 1ull << 27;
+    WriteOnlyOram a(params);
+    Random rng(53);
+    std::map<uint64_t, DataBlock> reference;
+    for (int i = 0; i < 100; ++i) {
+        DataBlock d;
+        rng.fillBytes(d.data(), d.size());
+        uint64_t block = rng.randUnder(params.capacityBlocks);
+        a.write(block, d);
+        reference[block] = d;
+    }
+
+    std::stringstream snap;
+    a.serialize(snap);
+    EXPECT_LT(snap.str().size(), 64u * 1024);
+
+    WriteOnlyOram b(params);
+    ASSERT_TRUE(b.deserialize(snap));
+    EXPECT_EQ(b.logicalWrites(), 100u);
+    for (const auto &[block, data] : reference)
+        EXPECT_EQ(b.read(block), data) << "block " << block;
 }
 
 // =====================================================================
